@@ -45,8 +45,6 @@ def nndescent_pass(
     matrix (reused across sweeps to avoid re-shipping it).
     """
     n = nbrs.shape[0]
-    sc = spark.sparkContext
-    nbrs_b = sc.broadcast(nbrs)
     # Reverse neighbors (capped at gamma per vertex, NNDescent-style):
     # without them convergence stalls ~0.87 quality; with them eps=3
     # reaches ~0.99 (paper Tab. XI).
@@ -61,7 +59,6 @@ def nndescent_pass(
     pos_in_group = np.arange(len(d_sorted)) - first_idx[d_sorted]
     keep = pos_in_group < gamma
     rev[d_sorted[keep], pos_in_group[keep]] = s_sorted[keep]
-    rev_b = sc.broadcast(rev)
 
     def refine(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         vecs = vecs_b.value
@@ -93,9 +90,13 @@ def nndescent_pass(
     ids_df = spark.createDataFrame(
         pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
     ).repartition(min(parts, n))
-    result = ids_df.mapInPandas(refine, schema="id long, nbrs array<int>").toPandas()
-    nbrs_b.destroy()
-    rev_b.destroy()
+    sc = spark.sparkContext
+    nbrs_b, rev_b = sc.broadcast(nbrs), sc.broadcast(rev)
+    try:
+        result = ids_df.mapInPandas(refine, schema="id long, nbrs array<int>").toPandas()
+    finally:
+        nbrs_b.destroy()
+        rev_b.destroy()
 
     new = np.full((n, gamma), -1, dtype=np.int32)
     for i, row in zip(result["id"].to_numpy(), result["nbrs"]):
@@ -117,11 +118,13 @@ def build_knn_graph(
     own_bcast = vecs_b is None
     if own_bcast:
         vecs_b = spark.sparkContext.broadcast(np.ascontiguousarray(vecs, np.float32))
-    nbrs = init_random(n, min(gamma, n - 1), seed)
-    for _ in range(eps):
-        nbrs = nndescent_pass(spark, vecs_b, nbrs, min(gamma, n - 1))
-    if own_bcast:
-        vecs_b.destroy()
+    try:
+        nbrs = init_random(n, min(gamma, n - 1), seed)
+        for _ in range(eps):
+            nbrs = nndescent_pass(spark, vecs_b, nbrs, min(gamma, n - 1))
+    finally:
+        if own_bcast:
+            vecs_b.destroy()
     return nbrs
 
 

@@ -14,6 +14,30 @@ kNN graph from ①, forms the candidate set ``C(o) = N(o) ∪ N(N(o))``
 * ``none``  — KGraph: keep the raw top-gamma kNN list.
 
 These strategies are what the §VIII-G graph ablation re-assembles.
+
+**Occlusion scan.** All four rules are greedy: candidates are visited in
+descending ``IP(o, v)`` order (stable, so equal IPs keep id order) and
+``v`` is kept iff no neighbor kept before it rejects it. Rather than
+testing each candidate against the kept set, :func:`_occlusion_scan`
+gathers ``V = vecs[C]`` once and loops over *kept* neighbors only (at
+most gamma steps): each step keeps the first candidate not yet occluded,
+scores it against every later candidate with one matvec, and ORs the
+strategy's rejection test into a boolean occlusion mask. This is exact:
+the kept set only grows, a candidate's verdict depends only on the
+neighbors kept before it, and a candidate is occluded after step ``j``
+iff one of the first ``j`` kept neighbors rejects it — the same
+candidates the per-candidate loop would have skipped.
+
+The comparisons are the per-candidate loop's, in the same precision, but
+two operands come from different BLAS calls: ``IP(o,v)`` is the value
+computed for the sort (a matvec, not one dot per candidate), and
+``IP(u,v)`` comes from a matvec over the later candidates rather than
+over the kept set. Their summation order differs, so either may differ
+in the last bit. That can flip a decision only when its two sides agree
+to float32 rounding, i.e. at exact ties such as duplicate vectors, where
+either outcome satisfies the rule within rounding. On tie-free inputs the
+graphs are bit-identical to the per-candidate loop's; the reference copy
+of that loop in ``tests/reference_prune.py`` pins both cases.
 """
 from __future__ import annotations
 
@@ -26,7 +50,7 @@ from pyspark.sql import SparkSession
 STRATEGIES = ("mrng", "alpha", "angle", "none")
 
 
-def _select_one(
+def _occlusion_scan(
     o: int,
     cand: np.ndarray,
     vecs: np.ndarray,
@@ -35,37 +59,71 @@ def _select_one(
     alpha: float,
     cos_thresh: float,
 ) -> np.ndarray:
-    """Apply one vertex's neighbor selection; ``cand`` sorted by IP desc."""
-    if strategy == "none":
-        return cand[:gamma]
-    kept: list[int] = []
+    """One vertex's kept neighbors, in admission order; ``cand`` is the
+    deduplicated candidate set (any order, without ``o``)."""
     vo = vecs[o]
-    for v in cand:
-        if len(kept) >= gamma:
+    V = vecs[cand]
+    ips = V @ vo
+    order = np.argsort(-ips, kind="stable")
+    cand = cand[order]
+    if strategy == "none":
+        return cand[:gamma].astype(np.int32)
+    V, ips = V[order], ips[order]
+    if strategy == "alpha":
+        # distances on normalized vectors: d^2 = 2 - 2*IP. d(o,v) is formed
+        # in float64 and compared in float32, as a Python scalar would be.
+        d_ov = np.maximum(2.0 - 2.0 * ips.astype(np.float64), 0.0).astype(np.float32)
+        aa = alpha * alpha
+    elif strategy == "angle":
+        E = V - vo  # edge vectors v - o
+        # |v - o| as a per-row dot (what np.linalg.norm does for one
+        # vector) and |u - o| as a row reduction (what it does per axis)
+        nv = np.sqrt(np.matmul(E[:, None, :], E[:, :, None]).ravel())
+        nu = np.linalg.norm(E, axis=1)
+    occluded = np.zeros(len(cand), dtype=bool)
+    kept: list[int] = []
+    j = 0
+    while len(kept) < gamma:
+        free = occluded[j:]
+        if free.all():
             break
-        if not kept:
-            kept.append(int(v))
-            continue
-        ku = vecs[kept]  # (|kept|, D)
+        j += int(free.argmin())  # first candidate not yet occluded
+        kept.append(j)
+        j += 1
         if strategy == "mrng":
-            # IP(o,v) > IP(u,v) for all kept u
-            ok = bool(np.all(vecs[v] @ vo > ku @ vecs[v]))
+            # keep v only if IP(o,v) > IP(u,v) for every kept u
+            ok = ips[j:] > V[j:] @ V[j - 1]
         elif strategy == "alpha":
-            # distances on normalized vectors: d^2 = 2 - 2*IP
-            d_ov = max(2.0 - 2.0 * float(vecs[v] @ vo), 0.0)
-            d_uv = np.maximum(2.0 - 2.0 * (ku @ vecs[v]), 0.0)
-            ok = bool(np.all(alpha * alpha * d_uv > d_ov))
+            d_uv = np.maximum(2.0 - 2.0 * (V[j:] @ V[j - 1]), 0.0)
+            ok = aa * d_uv > d_ov[j:]
         else:  # angle
-            ev = vecs[v] - vo
-            eu = ku - vo
-            nv = np.linalg.norm(ev)
-            nu = np.linalg.norm(eu, axis=1)
-            denom = np.maximum(nv * nu, 1e-12)
-            cosang = (eu @ ev) / denom
-            ok = bool(np.all(cosang < cos_thresh))
-        if ok:
-            kept.append(int(v))
-    return np.asarray(kept, dtype=np.int32)
+            denom = np.maximum(nv[j:] * nu[j - 1], 1e-12)
+            ok = (E[j:] @ E[j - 1]) / denom < cos_thresh
+        occluded[j:] |= ~ok
+    return cand[kept].astype(np.int32)
+
+
+def select_rows(
+    vecs: np.ndarray,
+    knn: np.ndarray,
+    ids,
+    gamma: int,
+    *,
+    strategy: str = "mrng",
+    alpha: float = 1.2,
+    angle_deg: float = 60.0,
+) -> list[np.ndarray]:
+    """Components ②③ for the vertices ``ids`` on one machine: each
+    vertex's kept neighbors (int32, admission order)."""
+    cos_thresh = float(np.cos(np.deg2rad(angle_deg)))
+    rows = []
+    for o in ids:
+        direct = knn[o]
+        direct = direct[direct >= 0]
+        cand = np.unique(np.concatenate([direct, knn[direct].ravel()]))
+        cand = cand[(cand != o) & (cand >= 0)]
+        rows.append(_occlusion_scan(o, cand, vecs, gamma, strategy, alpha, cos_thresh))
+    return rows
 
 
 def select_neighbors(
@@ -86,36 +144,27 @@ def select_neighbors(
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     n = knn.shape[0]
-    sc = spark.sparkContext
-    knn_b = sc.broadcast(knn)
-    cos_thresh = float(np.cos(np.deg2rad(angle_deg)))
 
     def prune(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         vecs = vecs_b.value
         base = knn_b.value
         for pdf in batches:
-            out_ids, out_nbrs = [], []
-            for o in pdf["id"].to_numpy():
-                direct = base[o]
-                direct = direct[direct >= 0]
-                cand = np.unique(
-                    np.concatenate([direct, base[direct].ravel()])
-                )
-                cand = cand[(cand != o) & (cand >= 0)]
-                ips = vecs[cand] @ vecs[o]
-                cand = cand[np.argsort(-ips, kind="stable")]
-                out_ids.append(o)
-                out_nbrs.append(
-                    _select_one(o, cand, vecs, gamma, strategy, alpha, cos_thresh)
-                )
-            yield pd.DataFrame({"id": out_ids, "nbrs": out_nbrs})
+            ids = pdf["id"].to_numpy()
+            nbrs = select_rows(
+                vecs, base, ids, gamma,
+                strategy=strategy, alpha=alpha, angle_deg=angle_deg,
+            )
+            yield pd.DataFrame({"id": ids, "nbrs": nbrs})
 
     parts = spark.sparkContext.defaultParallelism
     ids_df = spark.createDataFrame(
         pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
     ).repartition(min(parts, n))
-    result = ids_df.mapInPandas(prune, schema="id long, nbrs array<int>").toPandas()
-    knn_b.destroy()
+    knn_b = spark.sparkContext.broadcast(knn)
+    try:
+        result = ids_df.mapInPandas(prune, schema="id long, nbrs array<int>").toPandas()
+    finally:
+        knn_b.destroy()
 
     out = np.full((n, gamma), -1, dtype=np.int32)
     for i, row in zip(result["id"].to_numpy(), result["nbrs"]):

@@ -59,12 +59,6 @@ def joint_search(
         float(w) if qry_mats[i] is not None else 0.0
         for i, w in enumerate(index.weights)
     ]
-    sc = spark.sparkContext
-    b_obj = sc.broadcast([np.ascontiguousarray(a, np.float32) for a in obj_mats])
-    b_qry = sc.broadcast(
-        [None if a is None else np.ascontiguousarray(a, np.float32) for a in qry_mats]
-    )
-    b_nbrs = sc.broadcast(index.graph.nbrs)
     seed_vertex = index.graph.seed_vertex
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -109,17 +103,27 @@ def joint_search(
     qid_df = spark.createDataFrame(
         pd.DataFrame({"qid": np.arange(nq, dtype=np.int64)})
     ).repartition(min(parts, nq))
-    t0 = time.perf_counter()
-    pdf = (
-        qid_df.mapInPandas(
-            run,
-            schema="qid long, oid long, rank int, ip_joint double, compute_s double, "
-            "n_expanded long, n_candidates long, n_dots long, n_dots_saved long",
-        )
-        .toPandas()
-        .sort_values(["qid", "rank"])
+    sc = spark.sparkContext
+    b_obj = sc.broadcast([np.ascontiguousarray(a, np.float32) for a in obj_mats])
+    b_qry = sc.broadcast(
+        [None if a is None else np.ascontiguousarray(a, np.float32) for a in qry_mats]
     )
-    elapsed = time.perf_counter() - t0
+    b_nbrs = sc.broadcast(index.graph.nbrs)
+    t0 = time.perf_counter()
+    try:
+        pdf = (
+            qid_df.mapInPandas(
+                run,
+                schema="qid long, oid long, rank int, ip_joint double, compute_s double, "
+                "n_expanded long, n_candidates long, n_dots long, n_dots_saved long",
+            )
+            .toPandas()
+            .sort_values(["qid", "rank"])
+        )
+        elapsed = time.perf_counter() - t0
+    finally:
+        for b in (b_obj, b_qry, b_nbrs):
+            b.destroy()
 
     ids = np.full((nq, k), -1, dtype=np.int64)
     ips = np.full((nq, k), -np.inf)
@@ -132,6 +136,4 @@ def joint_search(
         for c in ("n_expanded", "n_candidates", "n_dots", "n_dots_saved")
     }
     stats["compute_s"] = float(pdf["compute_s"].sum())
-    for b in (b_obj, b_qry, b_nbrs):
-        b.destroy()
     return SearchOutput(ids=ids, ips=ips, elapsed_s=elapsed, stats=stats)

@@ -99,3 +99,27 @@ def test_mrng_variant_sparser_than_kgraph(spark):
     ours = build_graph(spark, v, gamma=10, eps=2, variant="ours", seed=0)
     kg = build_graph(spark, v, gamma=10, eps=2, variant="kgraph", seed=0)
     assert ours.n_edges < kg.n_edges
+
+
+def assert_valid_graph(g, n, variant):
+    assert g.n == n and 0 <= g.seed_vertex < n
+    assert g.nbrs.min(initial=-1) >= -1 and g.nbrs.max(initial=-1) < n
+    assert not np.any(g.nbrs == np.arange(n)[:, None])  # no self-loops
+    if VARIANTS[variant]["connect"]:
+        assert reachable_from(g.nbrs, g.seed_vertex) == set(range(n))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("n", (1, 2, 24, 25))
+def test_build_graph_degenerate_sizes(spark, n, variant):
+    """n in {1, 2, gamma, gamma + 1}: empty and single-candidate selections."""
+    g = build_graph(spark, vecs(n, seed=n), gamma=24, eps=2, variant=variant, seed=0)
+    assert_valid_graph(g, n, variant)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_build_graph_duplicate_rows(spark, variant):
+    v = vecs(40, seed=4)
+    v[[11, 23]] = v[5]  # three identical rows
+    g = build_graph(spark, v, gamma=8, eps=2, variant=variant, seed=0)
+    assert_valid_graph(g, 40, variant)
