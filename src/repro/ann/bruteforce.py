@@ -5,21 +5,23 @@ Two implementations of the same relational semantics:
 * :func:`topk_scan` — the production path. The distributed axis is the
   *query id*; query and object matrices ride along as Spark broadcasts
   and each partition scores its query batch with one matmul per modality
-  (Arrow ``mapInPandas``). Emits per-modality IPs so the weight-learning
-  job can aggregate gradients straight off this output.
+  (one :func:`repro.spark_map.lazy` map). Emits per-modality IPs so the
+  weight-learning job can aggregate gradients straight off this output.
 * :func:`topk_sql` — a pure-Catalyst cross join + window rank over
   ``array<double>`` columns, used by the tests to oracle-check the scan
   against DuckDB ``list_inner_product``.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import time
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
+from repro import spark_map
 from repro.ann.distance import joint_ip_col, joint_ip_matrix, topk_from_scores
 
 
@@ -46,7 +48,6 @@ def topk_scan(
     k: int,
     *,
     positives: np.ndarray | None = None,
-    num_partitions: int | None = None,
 ) -> DataFrame:
     """Exact joint top-k of every query as a distributed DataFrame job.
 
@@ -54,83 +55,74 @@ def topk_scan(
     ip_0..ip_{m-1}``. If ``positives`` maps each query to a known true
     object, that object's row is always present (rank ``k+1`` when it
     fell outside the top-k) so contrastive training always sees its
-    positive example.
+    positive example. The scan's broadcasts live until the DataFrame is
+    passed to :func:`repro.spark_map.release` (see that module).
     """
     m = len(obj_mats)
     nq = qry_mats[0].shape[0]
     weights = [float(w) for w in weights]
-    sc = spark.sparkContext
-    b_q = sc.broadcast([np.asarray(a, dtype=np.float32) for a in qry_mats])
-    b_o = sc.broadcast([np.asarray(a, dtype=np.float32) for a in obj_mats])
-    b_pos = sc.broadcast(None if positives is None else np.asarray(positives, dtype=np.int64))
 
-    def score(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        import time as _time
-
-        q_mats_l, o_mats_l, pos = b_q.value, b_o.value, b_pos.value
-        for pdf in batches:
-            qids = pdf["qid"].to_numpy()
-            if len(qids) == 0:
-                continue
-            t0 = _time.perf_counter()
-            ips = [q_mats_l[i][qids] @ o_mats_l[i].T for i in range(m)]
-            joint = sum(np.float32(w) * ip for w, ip in zip(weights, ips))
-            idx, vals = topk_from_scores(joint, k)
-            rows = {
-                "qid": np.repeat(qids, idx.shape[1]),
-                "oid": idx.ravel().astype(np.int64),
-                "rank": np.tile(np.arange(1, idx.shape[1] + 1), len(qids)),
-                "ip_joint": vals.ravel().astype(np.float64),
-            }
-            rowsel = np.repeat(np.arange(len(qids)), idx.shape[1])
-            for i in range(m):
-                rows[f"ip_{i}"] = ips[i][rowsel, rows["oid"]].astype(np.float64)
-            out = pd.DataFrame(rows)
-            if pos is None:
-                out["is_pos"] = False
-            else:
-                p = pos[qids]
-                out["is_pos"] = out["oid"].to_numpy() == np.repeat(p, idx.shape[1])
-                # per-query: is the positive absent from its own top-k?
-                missing = np.array(
-                    [p[j] not in idx[j] for j in range(len(qids))], dtype=bool
-                )
-                if missing.any():
-                    mq = qids[missing]
-                    mo = p[missing]
-                    extra = {
-                        "qid": mq,
-                        "oid": mo,
-                        "rank": np.full(len(mq), k + 1),
-                        "ip_joint": np.zeros(len(mq)),
-                        "is_pos": np.ones(len(mq), dtype=bool),
-                    }
-                    jsel = np.flatnonzero(missing)
-                    tot = np.zeros(len(mq))
-                    for i in range(m):
-                        ipv = ips[i][jsel, mo].astype(np.float64)
-                        extra[f"ip_{i}"] = ipv
-                        tot += weights[i] * ipv
-                    extra["ip_joint"] = tot
-                    out = pd.concat([out, pd.DataFrame(extra)], ignore_index=True)
-            # per-row share of this batch's kernel seconds; summing the
-            # column gives the total in-worker compute time (the paper's
-            # single-thread tau, Tab. VII)
-            out["compute_s"] = (_time.perf_counter() - t0) / len(out)
-            yield out[
-                ["qid", "oid", "rank", "ip_joint", "is_pos", "compute_s"]
-                + [f"ip_{i}" for i in range(m)]
-            ]
+    def score(qids: np.ndarray, q_mats_l, o_mats_l, pos) -> pd.DataFrame:
+        t0 = time.perf_counter()
+        ips = [q_mats_l[i][qids] @ o_mats_l[i].T for i in range(m)]
+        joint = sum(np.float32(w) * ip for w, ip in zip(weights, ips))
+        idx, vals = topk_from_scores(joint, k)
+        rows = {
+            "qid": np.repeat(qids, idx.shape[1]),
+            "oid": idx.ravel().astype(np.int64),
+            "rank": np.tile(np.arange(1, idx.shape[1] + 1), len(qids)),
+            "ip_joint": vals.ravel().astype(np.float64),
+        }
+        rowsel = np.repeat(np.arange(len(qids)), idx.shape[1])
+        for i in range(m):
+            rows[f"ip_{i}"] = ips[i][rowsel, rows["oid"]].astype(np.float64)
+        out = pd.DataFrame(rows)
+        if pos is None:
+            out["is_pos"] = False
+        else:
+            p = pos[qids]
+            out["is_pos"] = out["oid"].to_numpy() == np.repeat(p, idx.shape[1])
+            # per-query: is the positive absent from its own top-k?
+            missing = np.array(
+                [p[j] not in idx[j] for j in range(len(qids))], dtype=bool
+            )
+            if missing.any():
+                mq = qids[missing]
+                mo = p[missing]
+                extra = {
+                    "qid": mq,
+                    "oid": mo,
+                    "rank": np.full(len(mq), k + 1),
+                    "ip_joint": np.zeros(len(mq)),
+                    "is_pos": np.ones(len(mq), dtype=bool),
+                }
+                jsel = np.flatnonzero(missing)
+                tot = np.zeros(len(mq))
+                for i in range(m):
+                    ipv = ips[i][jsel, mo].astype(np.float64)
+                    extra[f"ip_{i}"] = ipv
+                    tot += weights[i] * ipv
+                extra["ip_joint"] = tot
+                out = pd.concat([out, pd.DataFrame(extra)], ignore_index=True)
+        # per-row share of this batch's kernel seconds; summing the
+        # column gives the total in-worker compute time (the paper's
+        # single-thread tau, Tab. VII)
+        out["compute_s"] = (time.perf_counter() - t0) / len(out)
+        return out[
+            ["qid", "oid", "rank", "ip_joint", "is_pos", "compute_s"]
+            + [f"ip_{i}" for i in range(m)]
+        ]
 
     schema = (
         "qid long, oid long, rank int, ip_joint double, is_pos boolean, "
         "compute_s double, " + ", ".join(f"ip_{i} double" for i in range(m))
     )
-    parts = num_partitions or spark.sparkContext.defaultParallelism
-    qid_df = spark.createDataFrame(
-        pd.DataFrame({"qid": np.arange(nq, dtype=np.int64)})
-    ).repartition(min(parts, max(1, nq)))
-    return qid_df.mapInPandas(score, schema=schema)
+    return spark_map.lazy(
+        spark, nq, score, schema,
+        [np.asarray(a, dtype=np.float32) for a in qry_mats],
+        [np.asarray(a, dtype=np.float32) for a in obj_mats],
+        None if positives is None else np.asarray(positives, dtype=np.int64),
+    )
 
 
 def topk_sql(

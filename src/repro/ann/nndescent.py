@@ -17,11 +17,11 @@ Table XI reproduction).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
+
+from repro import spark_map
 
 
 def init_random(n: int, gamma: int, seed: int = 0) -> np.ndarray:
@@ -60,49 +60,29 @@ def nndescent_pass(
     keep = pos_in_group < gamma
     rev[d_sorted[keep], pos_in_group[keep]] = s_sorted[keep]
 
-    def refine(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        vecs = vecs_b.value
-        prev = nbrs_b.value
-        prev_rev = rev_b.value
-        for pdf in batches:
-            out_ids, out_nbrs = [], []
-            for o in pdf["id"].to_numpy():
-                base = np.concatenate([prev[o], prev_rev[o]])
-                base = base[base >= 0]
-                cand = np.unique(
-                    np.concatenate(
-                        [base, prev[base].ravel(), prev_rev[base].ravel()]
-                    )
-                )
-                cand = cand[(cand != o) & (cand >= 0)]
-                ips = vecs[cand] @ vecs[o]
-                if len(cand) > gamma:
-                    keep = np.argpartition(-ips, gamma - 1)[:gamma]
-                    order = np.argsort(-ips[keep], kind="stable")
-                    cand = cand[keep][order]
-                else:
-                    cand = cand[np.argsort(-ips, kind="stable")]
-                out_ids.append(o)
-                out_nbrs.append(cand.astype(np.int32))
-            yield pd.DataFrame({"id": out_ids, "nbrs": out_nbrs})
+    def refine(ids: np.ndarray, vecs, prev, prev_rev) -> pd.DataFrame:
+        out_nbrs = []
+        for o in ids:
+            base = np.concatenate([prev[o], prev_rev[o]])
+            base = base[base >= 0]
+            cand = np.unique(
+                np.concatenate([base, prev[base].ravel(), prev_rev[base].ravel()])
+            )
+            cand = cand[(cand != o) & (cand >= 0)]
+            ips = vecs[cand] @ vecs[o]
+            if len(cand) > gamma:
+                keep = np.argpartition(-ips, gamma - 1)[:gamma]
+                order = np.argsort(-ips[keep], kind="stable")
+                cand = cand[keep][order]
+            else:
+                cand = cand[np.argsort(-ips, kind="stable")]
+            out_nbrs.append(cand.astype(np.int32))
+        return pd.DataFrame({"id": ids, "nbrs": out_nbrs})
 
-    parts = spark.sparkContext.defaultParallelism
-    ids_df = spark.createDataFrame(
-        pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
-    ).repartition(min(parts, n))
-    sc = spark.sparkContext
-    nbrs_b, rev_b = sc.broadcast(nbrs), sc.broadcast(rev)
-    try:
-        result = ids_df.mapInPandas(refine, schema="id long, nbrs array<int>").toPandas()
-    finally:
-        nbrs_b.destroy()
-        rev_b.destroy()
-
-    new = np.full((n, gamma), -1, dtype=np.int32)
-    for i, row in zip(result["id"].to_numpy(), result["nbrs"]):
-        arr = np.asarray(row, dtype=np.int32)
-        new[i, : len(arr)] = arr
-    return new
+    result = spark_map.collect(
+        spark, n, refine, "id long, nbrs array<int>", vecs_b, nbrs, rev
+    )
+    return spark_map.scatter_rows(result, n, gamma)
 
 
 def build_knn_graph(

@@ -41,11 +41,11 @@ of that loop in ``tests/reference_prune.py`` pins both cases.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
+
+from repro import spark_map
 
 STRATEGIES = ("mrng", "alpha", "angle", "none")
 
@@ -143,31 +143,14 @@ def select_neighbors(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
+
+    def prune(ids: np.ndarray, vecs, base) -> pd.DataFrame:
+        nbrs = select_rows(
+            vecs, base, ids, gamma,
+            strategy=strategy, alpha=alpha, angle_deg=angle_deg,
+        )
+        return pd.DataFrame({"id": ids, "nbrs": nbrs})
+
     n = knn.shape[0]
-
-    def prune(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        vecs = vecs_b.value
-        base = knn_b.value
-        for pdf in batches:
-            ids = pdf["id"].to_numpy()
-            nbrs = select_rows(
-                vecs, base, ids, gamma,
-                strategy=strategy, alpha=alpha, angle_deg=angle_deg,
-            )
-            yield pd.DataFrame({"id": ids, "nbrs": nbrs})
-
-    parts = spark.sparkContext.defaultParallelism
-    ids_df = spark.createDataFrame(
-        pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
-    ).repartition(min(parts, n))
-    knn_b = spark.sparkContext.broadcast(knn)
-    try:
-        result = ids_df.mapInPandas(prune, schema="id long, nbrs array<int>").toPandas()
-    finally:
-        knn_b.destroy()
-
-    out = np.full((n, gamma), -1, dtype=np.int32)
-    for i, row in zip(result["id"].to_numpy(), result["nbrs"]):
-        arr = np.asarray(row, dtype=np.int32)[:gamma]
-        out[i, : len(arr)] = arr
-    return out
+    result = spark_map.collect(spark, n, prune, "id long, nbrs array<int>", vecs_b, knn)
+    return spark_map.scatter_rows(result, n, gamma)

@@ -4,7 +4,8 @@ JE fuses the whole multimodal query into one composition vector (a
 ``composition``-kind encoder in our zoo) and runs a single-channel
 vector search over the *target-modality* object vectors. Structurally
 this is MUST restricted to one modality, so it reuses the same index
-and search machinery with ``m = 1``.
+and search machinery with ``m = 1``: search a fitted JE with
+``je.search([composition_qry], k, l)``.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.fused_index import build_fused_index
-from repro.core.joint_search import SearchOutput
 from repro.core.must import Must
 
 
@@ -33,10 +33,3 @@ def fit_je(
     return Must(
         spark=spark, obj_mats=[mat], weights=np.array([1.0]), index=index
     )
-
-
-def je_search(
-    je: Must, composition_qry: np.ndarray, k: int, l: int, *, seed: int = 0
-) -> SearchOutput:
-    """Single-channel search of the composition vector."""
-    return je.search([composition_qry], k=k, l=l, seed=seed)

@@ -15,9 +15,10 @@ from typing import Sequence
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro import spark_map
 from repro.ann.bruteforce import topk_scan
 from repro.core.fused_index import FusedIndex, build_fused_index
-from repro.core.joint_search import SearchOutput, joint_search
+from repro.core.joint_search import SearchOutput, joint_search, query_weights
 from repro.core.weights import WeightLearnResult, learn_weights
 
 
@@ -47,29 +48,16 @@ class Must:
                 self.spark, qry_mats, self.obj_mats, self.index, k,
                 l or max(4 * k, 100), optimize=optimize, seed=seed,
             )
-        weights = [
-            float(w) if qry_mats[i] is not None else 0.0
-            for i, w in enumerate(self.weights)
-        ]
-        active = [a for a in qry_mats if a is not None]
-        nq = active[0].shape[0]
+        weights, nq = query_weights(qry_mats, self.weights)
         t0 = time.perf_counter()
-        pdf = (
-            topk_scan(
-                self.spark,
-                [a if a is not None else np.zeros((nq, m.shape[1]), np.float32)
-                 for a, m in zip(qry_mats, self.obj_mats)],
-                self.obj_mats, weights, k,
-            )
-            .toPandas()
-            .sort_values(["qid", "rank"])
-        )
+        pdf = spark_map.to_pandas(topk_scan(
+            self.spark,
+            [a if a is not None else np.zeros((nq, m.shape[1]), np.float32)
+             for a, m in zip(qry_mats, self.obj_mats)],
+            self.obj_mats, weights, k,
+        ))
         elapsed = time.perf_counter() - t0
-        ids = np.full((nq, k), -1, dtype=np.int64)
-        ips = np.full((nq, k), -np.inf)
-        for qid, grp in pdf.groupby("qid"):
-            ids[qid, : len(grp)] = grp["oid"].to_numpy()[:k]
-            ips[qid, : len(grp)] = grp["ip_joint"].to_numpy()[:k]
+        ids, ips = spark_map.scatter_topk(pdf, nq, k)
         return SearchOutput(ids=ids, ips=ips, elapsed_s=elapsed, stats={})
 
 

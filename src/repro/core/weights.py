@@ -32,6 +32,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
+from repro import spark_map
 from repro.ann.bruteforce import topk_scan
 
 
@@ -137,7 +138,10 @@ def learn_weights(
             rows["ip_joint"] = joint
             cand = spark.createDataFrame(pd.DataFrame(rows))
 
-        stats = _grad_step(cand, m, nq, temperature)
+        try:
+            stats = _grad_step(cand, m, nq, temperature)
+        finally:
+            spark_map.release(cand)  # the mining scan's broadcasts
         grad = np.array([stats[f"g_{i}"] for i in range(m)])
         w = np.clip(w - lr * grad, 1e-4, None)
         history.append(

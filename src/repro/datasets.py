@@ -73,21 +73,6 @@ class MSTMDataset:
             data[f"q{i}"] = list(mat.astype(np.float64))
         return spark.createDataFrame(pd.DataFrame(data))
 
-    def restrict_queries(self, active: list[int]) -> "MSTMDataset":
-        """A view with only ``active`` query modalities (t < m cases);
-        inactive query mats are zeroed so their IP contribution is 0."""
-        qry = [
-            m if i in active else np.zeros_like(m) for i, m in enumerate(self.qry_mats)
-        ]
-        return MSTMDataset(
-            name=f"{self.name}[t={active}]",
-            encoders=self.encoders,
-            world=self.world,
-            obj_mats=self.obj_mats,
-            qry_mats=qry,
-            gt=self.gt,
-        )
-
 
 @lru_cache(maxsize=32)
 def _world(cfg: LatentConfig) -> LatentWorld:

@@ -13,6 +13,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro import datasets as D
+from repro import spark_map
 from repro.ann.bruteforce import topk_numpy, topk_scan
 from repro.ann.distance import concat_weighted
 from repro.ann.graphs import VARIANTS, build_graph, centroid_seed, ensure_connectivity
@@ -147,7 +148,7 @@ def table7_scale(
         gt10, _ = topk_numpy(ds.qry_mats, ds.obj_mats, w, 10)
 
         t0 = time.perf_counter()
-        bf = topk_scan(spark, ds.qry_mats, ds.obj_mats, w, 10).toPandas()
+        bf = spark_map.to_pandas(topk_scan(spark, ds.qry_mats, ds.obj_mats, w, 10))
         brute_wall = time.perf_counter() - t0
         brute_tau = float(bf["compute_s"].sum())
 

@@ -1,0 +1,106 @@
+"""One distributed map over an id range: the Spark plumbing every pass shares.
+
+Algorithm 1's passes (① NNDescent, ②③ neighbor selection) are per-vertex
+kernels; Algorithm 2 and the exact scan are per-query kernels. Each runs
+the same way: the ids ``0..n-1`` form a DataFrame over
+``min(defaultParallelism, max(1, n))`` partitions, the read-mostly state
+rides along as broadcasts, and ``mapInPandas`` calls the kernel
+``fn(ids, *values) -> pd.DataFrame`` once per non-empty Arrow batch, with
+``values`` the broadcasts' contents in the order given.
+
+Broadcast ownership: a value that is already a ``Broadcast`` is the
+caller's and passes through unreleased (``build_graph`` ships ``vecs``
+once for all of its passes). Any other value is broadcast here and
+destroyed by :func:`release`, which :func:`collect` and :func:`to_pandas`
+call in ``try/finally``. Whoever consumes a :func:`lazy` DataFrame
+otherwise calls it once no job on that DataFrame, or on one derived from
+it, will run again. Garbage collection cannot tell when that is: a
+DataFrame derived from a temporary (``lazy(...).select(...)``) still
+needs the broadcasts after the temporary is gone.
+"""
+from __future__ import annotations
+
+from typing import Callable, Iterator
+
+import numpy as np
+import pandas as pd
+from pyspark.broadcast import Broadcast
+from pyspark.sql import DataFrame, SparkSession
+
+
+def _destroy(owned: list[Broadcast]) -> None:
+    for b in owned:
+        b.destroy()
+
+
+def lazy(
+    spark: SparkSession, n: int, fn: Callable[..., pd.DataFrame], schema: str, *values
+) -> DataFrame:
+    """``fn`` over the ids ``0..n-1`` as an unexecuted DataFrame."""
+    ids = pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
+    parts = min(spark.sparkContext.defaultParallelism, max(1, n))
+    ids = spark.createDataFrame(ids, schema="id long").repartition(parts)
+    shipped, owned = [], []
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        vals = [b.value for b in shipped]
+        for pdf in batches:
+            batch = pdf["id"].to_numpy()
+            if len(batch):
+                yield fn(batch, *vals)
+
+    try:
+        for v in values:
+            if not isinstance(v, Broadcast):
+                v = spark.sparkContext.broadcast(v)
+                owned.append(v)
+            shipped.append(v)
+        df = ids.mapInPandas(run, schema=schema)
+    except BaseException:
+        _destroy(owned)
+        raise
+    df._spark_map_owned = owned
+    return df
+
+
+def release(df: DataFrame) -> None:
+    """Destroy the broadcasts :func:`lazy` made for ``df`` (once; a no-op
+    for any other DataFrame)."""
+    _destroy(vars(df).pop("_spark_map_owned", []))
+
+
+def to_pandas(df: DataFrame) -> pd.DataFrame:
+    """Collect a :func:`lazy` DataFrame, then release it."""
+    try:
+        return df.toPandas()
+    finally:
+        release(df)
+
+
+def collect(
+    spark: SparkSession, n: int, fn: Callable[..., pd.DataFrame], schema: str, *values
+) -> pd.DataFrame:
+    """Run ``fn`` over the ids ``0..n-1`` and collect its rows."""
+    return to_pandas(lazy(spark, n, fn, schema, *values))
+
+
+def scatter_rows(pdf: pd.DataFrame, n: int, width: int) -> np.ndarray:
+    """``(id, nbrs)`` list rows → padded int32 ``(n, width)``, ``-1`` fill."""
+    out = np.full((n, width), -1, dtype=np.int32)
+    for i, row in zip(pdf["id"].to_numpy(), pdf["nbrs"]):
+        out[i, : len(row)] = row
+    return out
+
+
+def scatter_topk(pdf: pd.DataFrame, nq: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(qid, rank, oid, ip_joint)`` rows → ``(nq, k)`` ids (``-1`` fill)
+    and joint IPs (``-inf`` fill); ranks are 1-based, ranks above ``k``
+    are dropped."""
+    ids = np.full((nq, k), -1, dtype=np.int64)
+    ips = np.full((nq, k), -np.inf)
+    rank = pdf["rank"].to_numpy(np.int64)
+    sel = rank <= k
+    at = (pdf["qid"].to_numpy(np.int64)[sel], rank[sel] - 1)
+    ids[at] = pdf["oid"].to_numpy(np.int64)[sel]
+    ips[at] = pdf["ip_joint"].to_numpy(np.float64)[sel]
+    return ids, ips

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ann.bruteforce import topk_numpy
-from repro.baselines.je import fit_je, je_search
+from repro.baselines.je import fit_je
 from repro.baselines.mr import fit_mr
 from repro.datasets import mitstates_lite
 from repro.eval.metrics import recall_at_k
@@ -68,7 +68,7 @@ def test_mr_build_has_one_index_per_modality(spark, ds):
 
 def test_je_equals_single_modality_topk(spark, ds):
     je = fit_je(spark, ds.obj_mats[0], brute=True)
-    out = je_search(je, ds.qry_mats[0], k=5, l=5)
+    out = je.search([ds.qry_mats[0]], k=5, l=5)
     exact, _ = topk_numpy([ds.qry_mats[0]], [ds.obj_mats[0]], [1.0], 5)
     np.testing.assert_array_equal(out.ids, exact)
 
@@ -76,8 +76,8 @@ def test_je_equals_single_modality_topk(spark, ds):
 def test_je_graph_close_to_brute(spark, ds):
     je_b = fit_je(spark, ds.obj_mats[0], brute=True)
     je_g = fit_je(spark, ds.obj_mats[0], gamma=10, eps=3)
-    exact = je_search(je_b, ds.qry_mats[0], k=10, l=10).ids
-    got = je_search(je_g, ds.qry_mats[0], k=10, l=150).ids
+    exact = je_b.search([ds.qry_mats[0]], k=10, l=10).ids
+    got = je_g.search([ds.qry_mats[0]], k=10, l=150).ids
     assert recall_at_k(got, exact, 10) > 0.9
 
 

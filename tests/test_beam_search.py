@@ -1,11 +1,13 @@
-"""Tests for the Algorithm-2 kernel (repro.ann.beam_search)."""
+"""Tests for the Algorithm-2 kernel (repro.ann.beam_search) and its
+per-query reference (tests/reference_beam_search.py)."""
 import numpy as np
 import pytest
 
-from repro.ann.beam_search import SearchStats, beam_search
+from repro.ann.beam_search import SearchStats
 from repro.ann.distance import concat_weighted, joint_ip_matrix, normalize
 from repro.ann.graphs import build_graph
 from repro.ann.bruteforce import topk_numpy
+from tests.reference_beam_search import beam_search
 
 
 @pytest.fixture(scope="module")

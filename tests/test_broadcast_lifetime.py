@@ -1,16 +1,23 @@
 """Every broadcast a distributed pass creates is released, also when the
-Spark job fails (a worker raising on an out-of-range id)."""
+Spark job fails (a worker raising on an out-of-range id), and the exact
+scan's broadcasts once its consumer releases the lazy DataFrame."""
+import gc
+
 import numpy as np
 import pytest
 from pyspark.errors import PythonException
 
+from repro import spark_map
 from repro.ann import nndescent
+from repro.ann.bruteforce import topk_scan
 from repro.ann.distance import normalize
 from repro.ann.graphs import GraphIndex
 from repro.ann.nndescent import build_knn_graph, nndescent_pass
 from repro.ann.pruning import select_neighbors
 from repro.core.fused_index import FusedIndex
 from repro.core.joint_search import joint_search
+from repro.core.must import Must
+from repro.core.weights import learn_weights
 
 pytestmark = pytest.mark.filterwarnings("ignore:toPandas attempted Arrow optimization:UserWarning")
 
@@ -100,3 +107,30 @@ def test_passes_release_on_success(spark, vecs, created):
     select_neighbors(spark, vecs_b, knn, 4)
     vecs_b.destroy()
     assert_all_destroyed(created, 5)  # vectors, nbrs, reverse nbrs, vectors, knn
+
+
+def test_topk_scan_released_explicitly(spark, vecs, created):
+    obj = [vecs[:, :4], vecs[:, 4:]]
+    df = topk_scan(spark, [m[:5] for m in obj], obj, [0.5, 0.5], 3, positives=np.arange(5))
+    df.toPandas()
+    assert all(b._jbroadcast.isValid() for b in created)
+    spark_map.release(df)
+    assert_all_destroyed(created, 3)  # queries, objects, positives
+
+
+def test_frame_derived_from_a_temporary_scan_runs(spark, vecs):
+    """Why the scan's broadcasts are not tied to the DataFrame object's
+    lifetime: a frame derived from it outlives a temporary scan."""
+    obj = [vecs[:, :4], vecs[:, 4:]]
+    derived = topk_scan(spark, [m[:5] for m in obj], obj, [0.5, 0.5], 3).select("qid", "oid")
+    gc.collect()
+    assert len(derived.toPandas()) == 15
+
+
+def test_scan_consumers_release(spark, vecs, created):
+    obj = [vecs[:, :4], vecs[:, 4:]]
+    Must(spark=spark, obj_mats=obj, weights=np.array([0.5, 0.5]), index=None).search(
+        [m[:5] for m in obj], k=3
+    )
+    learn_weights(spark, [m[:5] for m in obj], obj, np.arange(5), epochs=2)
+    assert_all_destroyed(created, 3 + 2 * 3)  # MUST-- scan, two mining scans

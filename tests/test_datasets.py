@@ -69,14 +69,6 @@ def test_unknown_shopping_category():
         D.shopping_lite("hats", n=100, nq=10)
 
 
-def test_restrict_queries_zeroes_inactive():
-    ds = D.mitstates_lite(n=200, nq=20)
-    sub = ds.restrict_queries([1])
-    assert np.all(sub.qry_mats[0] == 0)
-    np.testing.assert_array_equal(sub.qry_mats[1], ds.qry_mats[1])
-    np.testing.assert_array_equal(sub.gt, ds.gt)
-
-
 def test_objects_df_schema(spark):
     ds = D.mitstates_lite(n=120, nq=10)
     df = ds.objects_df(spark)

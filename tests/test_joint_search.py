@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from repro.ann.beam_search import beam_search
 from repro.ann.bruteforce import topk_numpy
 from repro.core.fused_index import build_fused_index
+from repro.core import joint_search as js
 from repro.core.joint_search import joint_search
 from repro.datasets import mitstates_lite
 from repro.eval.metrics import recall_at_k
+from tests.reference_beam_search import beam_search
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +73,29 @@ def test_optimize_saves_dots_with_dominant_modality(spark, setup):
         spark, ds.qry_mats, ds.obj_mats, index, 5, 20, optimize=True, seed=1
     )
     assert out.stats["n_dots_saved"] > 0
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_lockstep_batch_does_not_change_results(spark, setup, monkeypatch, batch):
+    ds, _, index = setup
+    whole = joint_search(spark, ds.qry_mats, ds.obj_mats, index, 5, 40, seed=2)
+    monkeypatch.setattr(js, "_BATCH", batch)
+    split = joint_search(spark, ds.qry_mats, ds.obj_mats, index, 5, 40, seed=2)
+    np.testing.assert_array_equal(split.ids, whole.ids)
+    np.testing.assert_array_equal(split.ips, whole.ips)
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_query_calls_do_not_change_results(spark, setup, size):
+    """The 30 queries as calls of ``size`` queries. A query's initial pool
+    comes from an RNG keyed by its position in the call; at l >= n that
+    pool holds every object, so its result cannot depend on the call."""
+    ds, _, index = setup
+    n = ds.obj_mats[0].shape[0]
+    whole = joint_search(spark, ds.qry_mats, ds.obj_mats, index, 5, n, seed=2)
+    outs = [
+        joint_search(spark, [m[s : s + size] for m in ds.qry_mats], ds.obj_mats, index, 5, n, seed=2)
+        for s in range(0, ds.nq, size)
+    ]
+    np.testing.assert_array_equal(np.concatenate([o.ids for o in outs]), whole.ids)
+    np.testing.assert_array_equal(np.concatenate([o.ips for o in outs]), whole.ips)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ann.bruteforce import topk_numpy
+from repro.ann.distance import normalize
 from repro.core.must import fit_must
 from repro.datasets import mitstates_lite
 from repro.eval.metrics import recall_at_k
@@ -69,3 +70,55 @@ def test_brute_search_with_absent_modality(spark, ds):
     out = model.search([None, ds.qry_mats[1]], k=5)
     exact, _ = topk_numpy([None, ds.qry_mats[1]], ds.obj_mats, w, 5)
     np.testing.assert_array_equal(out.ids, exact)
+
+
+@pytest.fixture(scope="module")
+def tiny(spark):
+    """30 objects, 9 queries, m=2; one model per search path."""
+    g = np.random.default_rng(3)
+    obj = [normalize(g.standard_normal((30, 6))), normalize(g.standard_normal((30, 4)))]
+    qry = [normalize(g.standard_normal((9, 6))), normalize(g.standard_normal((9, 4)))]
+    w = [0.4, 0.6]
+    models = {
+        "index": fit_must(spark, obj, weights=w, gamma=6, eps=2),
+        "brute": fit_must(spark, obj, weights=w, brute=True),
+    }
+    return qry, obj, w, models
+
+
+@pytest.mark.parametrize("path", ["index", "brute"])
+def test_empty_query_batch(spark, tiny, path):
+    qry, _, _, models = tiny
+    out = models[path].search([m[:0] for m in qry], k=5)
+    assert out.ids.shape == out.ips.shape == (0, 5)
+
+
+@pytest.mark.parametrize("path", ["index", "brute"])
+def test_all_query_modalities_absent_is_an_error(spark, tiny, path):
+    _, _, _, models = tiny
+    with pytest.raises(ValueError, match="every query modality is None"):
+        models[path].search([None, None], k=5)
+
+
+@pytest.mark.parametrize("path", ["index", "brute"])
+def test_k_above_n_pads(spark, tiny, path):
+    """k > n: all n objects in exact order (l >= n on a connected graph),
+    then -1 ids with -inf IPs."""
+    qry, obj, w, models = tiny
+    out = models[path].search(qry, k=40)
+    exact, vals = topk_numpy(qry, obj, w, 30)
+    np.testing.assert_array_equal(out.ids[:, :30], exact)
+    np.testing.assert_allclose(out.ips[:, :30], vals, rtol=1e-4)
+    assert (out.ids[:, 30:] == -1).all() and (out.ips[:, 30:] == -np.inf).all()
+
+
+def test_brute_search_any_batch_size(spark, ds):
+    """The id frame has min(defaultParallelism, nq) partitions; results
+    do not depend on it."""
+    w = [0.4, 0.6]
+    model = fit_must(spark, ds.obj_mats, weights=w, brute=True)
+    parts = spark.sparkContext.defaultParallelism
+    for nq in sorted({1, max(1, parts - 1), parts + 3, 40}):
+        qry = [m[:nq] for m in ds.qry_mats]
+        exact, _ = topk_numpy(qry, ds.obj_mats, w, 5)
+        np.testing.assert_array_equal(model.search(qry, k=5).ids, exact)

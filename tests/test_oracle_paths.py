@@ -126,27 +126,3 @@ def test_grad_step_matches_numpy_closed_form(spark, cand_rows):
         g0 += np.sum((p - y) * grp.ip_0.to_numpy())
     assert stats["loss"] == pytest.approx(loss / 6, rel=1e-6)
     assert stats["g_0"] == pytest.approx(g0 / 6, rel=1e-6)
-
-
-def test_tpch_lite_oracle_roundtrip(spark):
-    """The provided TPC-H-lite generators + oracle stay exercised: a
-    revenue aggregation over lineitem diffs clean against DuckDB."""
-    from repro.synth_data import lineitem
-
-    li = lineitem(spark, sf=0.001, seed=0)
-    got = (
-        li.groupBy("l_returnflag")
-        .agg(
-            F.round(
-                F.sum(F.col("l_extendedprice") * (1 - F.col("l_discount"))), 2
-            ).alias("revenue"),
-            F.count(F.lit(1)).alias("cnt"),
-        )
-    )
-    sql = """
-        SELECT l_returnflag,
-               round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-               count(*) AS cnt
-        FROM lineitem GROUP BY l_returnflag
-    """
-    assert_equivalent(got, sql, lineitem=li)
