@@ -12,6 +12,28 @@ bound (partial sum + sum of remaining modality weights, valid because
 normalized vectors have ``IP <= 1``) falls below the worst element of
 the result set. Pruning counters are reported so the ablation
 (paper Fig. 10(c)) can quantify the saved modality-dot-products.
+
+State is pool-aligned, so an iteration touches its new candidates, one
+flag per pool slot, and the pool tails the candidates land in:
+
+* each query's result pool R is three ``(b, l)`` arrays that move
+  together -- ids, joint IPs and "expanded" flags -- sorted by IP
+  descending (empty slots: id ``-1``, IP ``-inf``, flagged expanded);
+* one ``(b, n)`` bool map marks every (query, object) pair already
+  scored. An expanded vertex was always scored first, so "not scored" is
+  the whole test for a new candidate: 1 byte of state per object and
+  query.
+
+Merge by insertion: each admitted candidate's insertion point in its
+sorted row is the number of pool entries whose IP is ``>=`` its own
+(bisection). The step's candidates are inserted there, in descending
+IP with ties in ascending id, and the row is cut back to ``l``; only
+the row's tail from its first insertion point moves. That
+is the order a stable descending sort of ``[pool | candidates in
+ascending id]`` gives -- on equal IPs, pool entries first, then
+candidates by id -- so ids, IPs and counters are bit-identical to the
+argsort merge this replaced (kept as the test oracle
+``beam_search_batch`` in ``tests/reference_beam_search.py``).
 """
 from __future__ import annotations
 
@@ -50,9 +72,10 @@ def beam_search_batch(
 
     Query ``qid`` seeds its initial pool from
     ``default_rng((rng_base << 20) + qid)``, so its result does not depend
-    on which batch it runs in. Matches the per-query reference kernel in
-    ``tests/reference_beam_search.py`` (asserted in tests): identical ids;
-    IPs agree up to float32 summation order.
+    on which batch it runs in. Matches the reference kernels in
+    ``tests/reference_beam_search.py`` (asserted in tests): the lockstep
+    one exactly (ids, IPs, counters), the per-query one in ids with IPs
+    up to float32 summation order.
     Returns ``(ids (b,k), ips (b,k), summed stats)``.
     """
     b = len(qids)
@@ -66,8 +89,7 @@ def beam_search_batch(
     )
     stats = SearchStats()
 
-    scores = np.full((b, n), np.nan, dtype=np.float64)
-    expanded = np.zeros((b, n), dtype=bool)
+    scored = np.zeros((b, n), dtype=bool)
     qvecs = [None if q_mats[i] is None else q_mats[i][qids] for i in range(m)]
 
     def score_flat(rows: np.ndarray, cols: np.ndarray, thresholds: np.ndarray):
@@ -99,103 +121,85 @@ def beam_search_batch(
             res[alive] = partial[alive]
         return res
 
-    # init pools: seed + l-1 per-query random vertices
-    pool = np.full((b, l), -1, dtype=np.int64)
-    pool_len = np.zeros(b, dtype=np.int64)
-    init_rows, init_cols = [], []
+    # init pools: seed + l-1 per-query random vertices (at most l ids)
     inits = []
-    for j, qid in enumerate(qids):
+    for qid in qids:
         g = np.random.default_rng((rng_base << 20) + int(qid))
         init = np.concatenate(
             [[seed_vertex], g.choice(n, size=min(l - 1, n - 1), replace=False)]
         )
-        init = np.unique(init)
-        inits.append(init)
-        init_rows.extend([j] * len(init))
-        init_cols.extend(init.tolist())
-    init_rows = np.asarray(init_rows)
-    init_cols = np.asarray(init_cols)
+        inits.append(np.unique(init))
+    init_rows = np.repeat(np.arange(b), [len(init) for init in inits])
+    init_cols = np.concatenate(inits)
     vals = score_flat(init_rows, init_cols, np.full(b, -np.inf))
-    scores[init_rows, init_cols] = vals
-    for j, init in enumerate(inits):
-        srt = init[np.argsort(-scores[j, init], kind="stable")][:l]
-        pool[j, : len(srt)] = srt
-        pool_len[j] = len(srt)
+    scored[init_rows, init_cols] = True
+    srt = np.lexsort((-vals, init_rows))  # by row, IP desc, ties by id
+    slot = np.arange(len(srt)) - np.searchsorted(init_rows, init_rows)
+    pool = np.full((b, l), -1, dtype=np.int64)
+    pool_sc = np.full((b, l), -np.inf)
+    pool_exp = np.ones((b, l), dtype=bool)  # an empty slot has nothing to expand
+    pool[init_rows, slot] = init_cols[srt]
+    pool_sc[init_rows, slot] = vals[srt]
+    pool_exp[init_rows, slot] = False
 
-    active = np.ones(b, dtype=bool)
-    width = nbrs.shape[1]
-    while active.any():
-        rows = np.flatnonzero(active)
+    active = np.arange(b)
+    steps = int(l - 1).bit_length()
+    while len(active):
         # first unexpanded entry of each active pool (pools sorted desc)
-        pv = pool[rows]
-        unexp = (pv >= 0) & ~expanded[rows[:, None], np.maximum(pv, 0)]
-        has = unexp.any(axis=1)
-        done = rows[~has]
-        active[done] = False
-        rows = rows[has]
-        if len(rows) == 0:
+        unexp = ~pool_exp[active]
+        first = np.argmax(unexp, axis=1)
+        has = unexp[np.arange(len(active)), first]
+        active, first = active[has], first[has]
+        if len(active) == 0:
             break
-        first = np.argmax(unexp[has], axis=1)
-        v = pool[rows, first]
-        expanded[rows, v] = True
-        stats.n_expanded += len(rows)
+        v = pool[active, first]
+        pool_exp[active, first] = True
+        stats.n_expanded += len(active)
 
-        neigh = nbrs[v]  # (r, width)
-        rrep = np.repeat(rows, width)
-        nflat = neigh.ravel()
-        ok = (
-            (nflat >= 0)
-            & ~expanded[rrep, np.maximum(nflat, 0)]
-            & np.isnan(scores[rrep, np.maximum(nflat, 0)])
-        )
-        rrep, nflat = rrep[ok], nflat[ok]
-        # drop duplicate (row, candidate) pairs (shared neighbors)
-        if len(rrep):
-            key = rrep * n + nflat
-            _, uniq_idx = np.unique(key, return_index=True)
-            rrep, nflat = rrep[uniq_idx], nflat[uniq_idx]
+        # candidates: unscored neighbors, per row in ascending id, once each
+        neigh = np.sort(nbrs[v], axis=1)
+        fresh = neigh >= 0
+        fresh[:, 1:] &= neigh[:, 1:] != neigh[:, :-1]
+        rrep = np.broadcast_to(active[:, None], neigh.shape)[fresh]
+        nflat = neigh[fresh]
+        unseen = ~scored[rrep, nflat]
+        rrep, nflat = rrep[unseen], nflat[unseen]
         if len(rrep) == 0:
             continue
-        thresholds = np.where(
-            pool_len >= l, scores[np.arange(b), pool[:, l - 1]], -np.inf
-        )
+        scored[rrep, nflat] = True
+        thresholds = pool_sc[:, l - 1]  # -inf while a pool is not full
         vals = score_flat(rrep, nflat, thresholds)
-        scores[rrep, nflat] = vals
         good = vals > thresholds[rrep]
-        rrep, nflat = rrep[good], nflat[good]
-        if len(rrep) == 0:
+        if not good.any():
             continue
-        # batched merge: for every affected row, [pool | its candidates]
-        # -> stable argsort desc -> first l. One argsort for all rows.
-        aff = np.unique(rrep)
-        pos_in_aff = np.searchsorted(aff, rrep)
-        grp_order = np.argsort(pos_in_aff, kind="stable")
-        pia_sorted = pos_in_aff[grp_order]
-        nflat_sorted = nflat[grp_order]
-        first = np.searchsorted(pia_sorted, np.arange(len(aff)))
-        col = np.arange(len(pia_sorted)) - first[pia_sorted]
-        maxc = int(col.max()) + 1
-        cand_ids = np.full((len(aff), maxc), -1, dtype=np.int64)
-        cand_sc = np.full((len(aff), maxc), -np.inf)
-        cand_ids[pia_sorted, col] = nflat_sorted
-        cand_sc[pia_sorted, col] = scores[aff[pia_sorted], nflat_sorted]
-        pool_ids = pool[aff]
-        pool_sc = np.where(
-            pool_ids >= 0, scores[aff[:, None], np.maximum(pool_ids, 0)], -np.inf
-        )
-        merged_ids = np.concatenate([pool_ids, cand_ids], axis=1)
-        merged_sc = np.concatenate([pool_sc, cand_sc], axis=1)
-        srt = np.argsort(-merged_sc, axis=1, kind="stable")[:, :l]
-        top_ids = np.take_along_axis(merged_ids, srt, axis=1)
-        top_sc = np.take_along_axis(merged_sc, srt, axis=1)
-        valid = top_sc > -np.inf
-        pool[aff] = np.where(valid, top_ids, -1)
-        pool_len[aff] = valid.sum(axis=1)
+        # insertion merge: candidates by row, IP desc, ties in ascending id
+        # (their order so far); each goes after every pool entry with IP >=
+        # its own. good => IP > pool_sc[row, l-1], so that count is < l.
+        srt = np.flatnonzero(good)[np.lexsort((-vals[good], rrep[good]))]
+        rrep, nflat, vals = rrep[srt], nflat[srt], vals[srt]
+        base = rrep * l
+        flat_sc = pool_sc.reshape(-1)
+        lo = np.zeros(len(rrep), dtype=np.int64)
+        hi = np.full(len(rrep), l - 1, dtype=np.int64)
+        for _ in range(steps):
+            mid = (lo + hi) >> 1
+            ge = flat_sc[base + mid] >= vals
+            lo = np.where(ge, mid + 1, lo)
+            hi = np.where(ge, hi, mid)
+        # Only each affected row's tail, from its first insertion point,
+        # changes. One permutation of [tails | candidates] serves all three
+        # arrays: np.insert the candidates' indices at their points (equal
+        # points keep argument order), cut each tail back to its length.
+        head = np.flatnonzero(np.r_[True, rrep[1:] != rrep[:-1]])
+        seg = l - lo[head]
+        cum = np.cumsum(seg) - seg
+        tails = np.repeat(base[head] + lo[head] - cum, seg) + np.arange(cum[-1] + seg[-1])
+        at = np.repeat(cum - lo[head], np.diff(np.r_[head, len(rrep)])) + lo
+        keep = np.arange(len(tails)) + np.repeat(head, seg)
+        perm = np.insert(np.arange(len(tails)), at, len(tails) + np.arange(len(at)))[keep]
+        unexpanded = np.zeros(len(at), dtype=bool)
+        for arr, new in ((pool, nflat), (pool_sc, vals), (pool_exp, unexpanded)):
+            flat = arr.reshape(-1)
+            flat[tails] = np.concatenate((flat[tails], new))[perm]
 
-    ids = np.full((b, k), -1, dtype=np.int64)
-    ips = np.full((b, k), -np.inf)
-    for j in range(b):
-        kk = min(k, pool_len[j])
-        ids[j, :kk] = pool[j, :kk]
-        ips[j, :kk] = scores[j, pool[j, :kk]]
-    return ids, ips, stats
+    return pool[:, :k].copy(), pool_sc[:, :k].copy(), stats

@@ -20,7 +20,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.fused_index import FusedIndex, build_fused_index
-from repro.core.joint_search import SearchOutput
+from repro.core.joint_search import SearchOutput, query_weights
 from repro.core.must import Must
 
 
@@ -45,8 +45,8 @@ class MR:
         seed: int = 0,
     ) -> SearchOutput:
         """t separate vector searches + intersection merge."""
+        _, nq = query_weights(qry_mats, [1.0] * len(qry_mats))
         active = [i for i, q in enumerate(qry_mats) if q is not None]
-        nq = qry_mats[active[0]].shape[0]
         t0 = time.perf_counter()
         per_mod: list[np.ndarray] = []
         for i in active:

@@ -49,6 +49,13 @@ def test_mr_single_modality_equals_topk(spark, ds):
     np.testing.assert_array_equal(out.ids, exact)
 
 
+def test_mr_all_query_modalities_absent_is_an_error(spark, ds):
+    """Same error as ``Must.search``, not an ``IndexError``."""
+    mr = fit_mr(spark, ds.obj_mats, brute=True)
+    with pytest.raises(ValueError, match="every query modality is None"):
+        mr.search([None, None], k=5, l_cand=5)
+
+
 def test_mr_graph_close_to_brute(spark, ds):
     brute = fit_mr(spark, ds.obj_mats, brute=True)
     graph = fit_mr(spark, ds.obj_mats, gamma=10, eps=3)

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.ann.beam_search import beam_search_batch
 from repro.ann.bruteforce import topk_numpy
-from repro.core.fused_index import build_fused_index
+from repro.core.fused_index import FusedIndex, build_fused_index
 from repro.core import joint_search as js
 from repro.core.joint_search import joint_search
 from repro.datasets import mitstates_lite
@@ -99,3 +100,37 @@ def test_query_calls_do_not_change_results(spark, setup, size):
     ]
     np.testing.assert_array_equal(np.concatenate([o.ids for o in outs]), whole.ids)
     np.testing.assert_array_equal(np.concatenate([o.ips for o in outs]), whole.ips)
+
+
+def test_lemma4_needs_unit_norm_queries(spark, setup):
+    """Lemma 4 prunes with the bound IP <= 1: a query scaled x3 loses true
+    neighbors with the optimization on, so joint_search refuses it."""
+    ds, _, index = setup
+    rest = (index.graph.nbrs, index.graph.seed_vertex, 5, 5, np.arange(ds.nq))
+
+    def ids(qry, optimize):
+        return beam_search_batch(qry, ds.obj_mats, index.weights, *rest, optimize=optimize)[0]
+
+    big = [3 * q for q in ds.qry_mats]
+    np.testing.assert_array_equal(ids(ds.qry_mats, True), ids(ds.qry_mats, False))
+    assert not np.array_equal(ids(big, True), ids(big, False))
+    with pytest.raises(ValueError, match="norm"):
+        joint_search(spark, big, ds.obj_mats, index, 5, 5)
+
+
+def test_zero_query_rows_allowed(spark, setup):
+    ds, _, index = setup
+    qry = [q.copy() for q in ds.qry_mats]
+    qry[1][:3] = 0.0
+    out = joint_search(spark, qry, ds.obj_mats, index, 5, 40)
+    assert (out.ids >= 0).all()
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_weights_must_be_finite_and_nonnegative(spark, setup, bad):
+    ds, _, index = setup
+    with pytest.raises(ValueError, match="weights"):
+        js.query_weights(ds.qry_mats, [0.5, bad])
+    bad_index = FusedIndex(graph=index.graph, weights=np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="weights"):
+        joint_search(spark, ds.qry_mats, ds.obj_mats, bad_index, 5, 40)

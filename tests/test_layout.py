@@ -1,5 +1,6 @@
 """Source layout: the Spark plumbing and the Algorithm-2 kernel each live
-in one place in ``src/`` (no Spark needed)."""
+in one place in ``src/``, and the names the benchmark's traced run uses
+exist (no Spark needed)."""
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -18,3 +19,50 @@ def test_one_search_kernel():
     for name, text in sources().items():
         for kernel in ("def beam_search(", "def _score_candidates("):
             assert kernel not in text, f"{name} defines a second Algorithm-2 kernel"
+
+
+# The benchmark's traced run (perfbench/tracing.py) replays the kernel
+# single-threaded and reads joint_search's counters; these pin what it uses.
+
+def test_traced_replay_call_shape():
+    """``beam_search_batch(qry, obj, weights, nbrs, seed_vertex, k, l,
+    qids)`` positionally, on a chunk of ``_BATCH`` queries."""
+    import inspect
+
+    import numpy as np
+
+    from repro.ann.beam_search import beam_search_batch
+    from repro.core.joint_search import _BATCH
+
+    assert isinstance(_BATCH, int) and _BATCH >= 1
+    params = list(inspect.signature(beam_search_batch).parameters.values())[:8]
+    assert [p.name for p in params] == [
+        "q_mats", "obj_mats", "weights", "nbrs", "seed_vertex", "k", "l", "qids"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    vecs = np.eye(4, dtype=np.float32)
+    nbrs = np.array([[1], [2], [3], [0]], dtype=np.int32)
+    ids, ips, stats = beam_search_batch([vecs], [vecs], [1.0], nbrs, 0, 2, 2, np.arange(2))
+    assert ids.shape == ips.shape == (2, 2)
+    assert ids[:, 0].tolist() == [0, 1]
+    assert stats.n_expanded > 0
+
+
+def test_traced_search_stats_names(monkeypatch):
+    """``SearchOutput.stats`` carries the kernel time and the four effort
+    counters (run with the distributed map replaced by a local call)."""
+    import numpy as np
+
+    from repro import spark_map
+    from repro.ann.graphs import GraphIndex
+    from repro.core.fused_index import FusedIndex
+    from repro.core.joint_search import joint_search
+
+    monkeypatch.setattr(
+        spark_map, "collect", lambda spark, n, fn, schema, *values: fn(np.arange(n), *values))
+    vecs = np.eye(4, dtype=np.float32)
+    graph = GraphIndex(nbrs=np.array([[1], [2], [3], [0]], dtype=np.int32), seed_vertex=0)
+    out = joint_search(None, [vecs], [vecs], FusedIndex(graph=graph, weights=np.ones(1)), 2, 4)
+    assert out.ids[:, 0].tolist() == [0, 1, 2, 3]
+    for name in ("compute_s", "n_expanded", "n_candidates", "n_dots", "n_dots_saved"):
+        assert name in out.stats
+    assert out.stats["n_expanded"] > 0
