@@ -8,8 +8,8 @@ by rank-sum (no weights are available to MR by construction); when the
 intersection has fewer than ``k`` objects the remainder is padded by
 rank-sum over the union so a fixed-size result list always exists
 (documented choice; the paper's MR likewise returns top-k from merged
-candidates). ``MR--`` replaces each graph search with the exact
-distributed scan.
+candidates). ``MR--`` replaces the graph searches with one exact
+distributed scan over all ``t`` sub-queries stacked (see :meth:`MR.search`).
 """
 from __future__ import annotations
 
@@ -44,45 +44,76 @@ class MR:
         *,
         seed: int = 0,
     ) -> SearchOutput:
-        """t separate vector searches + intersection merge."""
+        """t separate vector searches + intersection merge.
+
+        Graph MR searches each active modality's own index. MR-- runs the
+        ``t`` sub-queries as ``t * nq`` rows of one exact scan over the
+        active modalities under unit weights: sub-query ``(s, j)`` is query
+        ``j``'s vector in modality ``active[s]`` and zeros elsewhere, so its
+        joint IP is that modality's IP plus float32 zeros, which is the same
+        value. Its candidates are the per-modality exact top-``l_cand``,
+        ties to the smaller id, as ``t`` separate scans would return.
+        """
         _, nq = query_weights(qry_mats, [1.0] * len(qry_mats))
         active = [i for i, q in enumerate(qry_mats) if q is not None]
+        t = len(active)
         t0 = time.perf_counter()
-        per_mod: list[np.ndarray] = []
-        for i in active:
-            sub = Must(
+        if self.indexes is None:
+            stacked = [np.zeros((t, nq, self.obj_mats[i].shape[1]), np.float32) for i in active]
+            for s, i in enumerate(active):
+                stacked[s][s] = qry_mats[i]
+            scan = Must(
                 spark=self.spark,
-                obj_mats=[self.obj_mats[i]],
-                weights=np.array([1.0]),
-                index=None if self.indexes is None else self.indexes[i],
+                obj_mats=[self.obj_mats[i] for i in active],
+                weights=np.ones(t),
+                index=None,
             )
-            out = sub.search([qry_mats[i]], k=l_cand, l=l_cand, seed=seed)
-            per_mod.append(out.ids)
-
-        # Merge: intersection first (rank-sum order), then union pad.
-        ids = np.full((nq, k), -1, dtype=np.int64)
-        ips = np.zeros((nq, k))
-        big = 10 * l_cand  # rank charged to a modality that missed the object
-        for j in range(nq):
-            ranksum: dict[int, int] = {}
-            seen_in: dict[int, int] = {}
-            for cand in per_mod:
-                for r, o in enumerate(cand[j], start=1):
-                    if o < 0:
-                        continue
-                    ranksum[o] = ranksum.get(o, 0) + r
-                    seen_in[o] = seen_in.get(o, 0) + 1
-            t_mod = len(per_mod)
-            inter = [o for o, c in seen_in.items() if c == t_mod]
-            inter.sort(key=lambda o: (ranksum[o], o))
-            rest = [o for o in seen_in if seen_in[o] < t_mod]
-            rest.sort(
-                key=lambda o: (ranksum[o] + big * (t_mod - seen_in[o]), o)
-            )
-            merged = (inter + rest)[:k]
-            ids[j, : len(merged)] = merged
+            out = scan.search([a.reshape(t * nq, -1) for a in stacked], k=l_cand, seed=seed)
+            cand = out.ids.reshape(t, nq, l_cand).swapaxes(0, 1)
+        else:
+            cand = np.stack([
+                Must(
+                    spark=self.spark,
+                    obj_mats=[self.obj_mats[i]],
+                    weights=np.array([1.0]),
+                    index=self.indexes[i],
+                ).search([qry_mats[i]], k=l_cand, l=l_cand, seed=seed).ids
+                for i in active
+            ], axis=1)
+        ids = merge_candidates(cand, k)
         elapsed = time.perf_counter() - t0
-        return SearchOutput(ids=ids, ips=ips, elapsed_s=elapsed, stats={})
+        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed, stats={})
+
+
+def merge_candidates(cand: np.ndarray, k: int) -> np.ndarray:
+    """MR's merge of ``(nq, t, L)`` candidate ids (``-1``: none) into
+    ``(nq, k)`` ids, ``-1`` padded.
+
+    An object's rank in a list is its 1-based position. Objects in all
+    ``t`` lists come first, by (rank-sum, id); the rest of the union
+    follows by (rank-sum + ``10 L`` per list that missed it, id).
+    """
+    nq, t, width = cand.shape
+    ids = np.full((nq, k), -1, dtype=np.int64)
+    valid = cand >= 0
+    q, _, pos = np.nonzero(valid)
+    if not len(q):
+        return ids
+    obj = cand[valid]
+    # one group per (query, object): its size is the number of lists
+    # holding the object, its rank sum one reduceat
+    order = np.lexsort((obj, q))
+    q, obj, rank = q[order], obj[order], pos[order] + 1
+    start = np.flatnonzero(np.r_[True, (q[1:] != q[:-1]) | (obj[1:] != obj[:-1])])
+    missed = t - np.diff(np.r_[start, len(q)])
+    key = np.add.reduceat(rank, start) + 10 * width * missed
+    q, obj = q[start], obj[start]
+    order = np.lexsort((obj, key, missed > 0, q))
+    q, obj = q[order], obj[order]
+    pos = np.arange(len(q)) - np.searchsorted(q, q)
+    keep = pos < k
+    ids[q[keep], pos[keep]] = obj[keep]
+    return ids
 
 
 def fit_mr(

@@ -2,11 +2,16 @@
 
 Algorithm 1's passes (① NNDescent, ②③ neighbor selection) are per-vertex
 kernels; Algorithm 2 and the exact scan are per-query kernels. Each runs
-the same way: the ids ``0..n-1`` form a DataFrame over
+the same way: the ids ``0..n-1`` form a ``spark.range`` over
 ``min(defaultParallelism, max(1, n))`` partitions, the read-mostly state
 rides along as broadcasts, and ``mapInPandas`` calls the kernel
 ``fn(ids, *values) -> pd.DataFrame`` once per non-empty Arrow batch, with
 ``values`` the broadcasts' contents in the order given.
+
+The range is generated on the executors, one contiguous id split per
+partition, so an op is one stage: nothing is uploaded from the driver and
+nothing is shuffled. Each kernel computes an id's rows from that id
+alone, so the split decides only which task computes them.
 
 Broadcast ownership: a value that is already a ``Broadcast`` is the
 caller's and passes through unreleased (``build_graph`` ships ``vecs``
@@ -37,9 +42,8 @@ def lazy(
     spark: SparkSession, n: int, fn: Callable[..., pd.DataFrame], schema: str, *values
 ) -> DataFrame:
     """``fn`` over the ids ``0..n-1`` as an unexecuted DataFrame."""
-    ids = pd.DataFrame({"id": np.arange(n, dtype=np.int64)})
     parts = min(spark.sparkContext.defaultParallelism, max(1, n))
-    ids = spark.createDataFrame(ids, schema="id long").repartition(parts)
+    ids = spark.range(0, n, 1, parts)
     shipped, owned = [], []
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:

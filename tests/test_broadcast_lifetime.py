@@ -8,12 +8,13 @@ import pytest
 from pyspark.errors import PythonException
 
 from repro import spark_map
-from repro.ann import nndescent
+from repro.ann import bruteforce, nndescent
 from repro.ann.bruteforce import topk_scan
 from repro.ann.distance import normalize
 from repro.ann.graphs import GraphIndex
 from repro.ann.nndescent import build_knn_graph, nndescent_pass
 from repro.ann.pruning import select_neighbors
+from repro.baselines.mr import fit_mr
 from repro.core.fused_index import FusedIndex
 from repro.core.joint_search import joint_search
 from repro.core.must import Must
@@ -134,3 +135,21 @@ def test_scan_consumers_release(spark, vecs, created):
     )
     learn_weights(spark, [m[:5] for m in obj], obj, np.arange(5), epochs=2)
     assert_all_destroyed(created, 3 + 2 * 3)  # MUST-- scan, two mining scans
+
+
+def test_mr_brute_releases(spark, vecs, created):
+    obj = [vecs[:, :4], vecs[:, 4:]]
+    fit_mr(spark, obj, brute=True).search([m[:5] for m in obj], k=3, l_cand=4)
+    assert_all_destroyed(created, 3)  # stacked queries, objects, positives
+
+
+def test_mr_brute_releases_on_failure(spark, vecs, created, monkeypatch):
+    def failing_topk(scores, k):
+        raise RuntimeError("top-k failed")
+
+    # the scan's kernel is shipped by value with this global in it
+    monkeypatch.setattr(bruteforce, "topk_from_scores", failing_topk)
+    obj = [vecs[:, :4], vecs[:, 4:]]
+    with pytest.raises(PythonException, match="top-k failed"):
+        fit_mr(spark, obj, brute=True).search([m[:5] for m in obj], k=3, l_cand=4)
+    assert_all_destroyed(created, 3)

@@ -66,3 +66,40 @@ def test_traced_search_stats_names(monkeypatch):
     for name in ("compute_s", "n_expanded", "n_candidates", "n_dots", "n_dots_saved"):
         assert name in out.stats
     assert out.stats["n_expanded"] > 0
+
+
+def test_traced_mr_hook_sees_every_sub_search(monkeypatch):
+    """The traced run times MR's sub-searches by replacing
+    ``repro.baselines.mr.Must``: MR-- makes one ``search`` call (one
+    stacked scan), graph MR one per active modality (run with the
+    distributed map replaced by a local call)."""
+    import numpy as np
+
+    from repro import spark_map
+    from repro.ann.graphs import GraphIndex
+    from repro.baselines import mr
+    from repro.core.fused_index import FusedIndex
+
+    def local(spark, n, fn, schema, *values):
+        return fn(np.arange(n), *values)
+
+    monkeypatch.setattr(spark_map, "lazy", local)
+    monkeypatch.setattr(spark_map, "to_pandas", lambda pdf: pdf)
+    monkeypatch.setattr(spark_map, "collect", local)
+    calls = []
+
+    class CountingMust(mr.Must):
+        def search(self, *args, **kwargs):
+            calls.append(len(self.obj_mats))
+            return super().search(*args, **kwargs)
+
+    monkeypatch.setattr(mr, "Must", CountingMust)
+    vecs = np.eye(4, dtype=np.float32)
+    graph = GraphIndex(nbrs=np.array([[1], [2], [3], [0]], dtype=np.int32), seed_vertex=0)
+    index = FusedIndex(graph=graph, weights=np.ones(1))
+    qry = [vecs, vecs, vecs]
+    for indexes, want in ((None, [3]), ([index] * 3, [1, 1, 1])):
+        calls.clear()
+        out = mr.MR(spark=None, obj_mats=[vecs] * 3, indexes=indexes).search(qry, k=2, l_cand=4)
+        assert calls == want
+        assert out.ids[:, 0].tolist() == [0, 1, 2, 3]
