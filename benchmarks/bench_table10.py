@@ -8,7 +8,6 @@ from repro.eval.harness import EvalConfig
 from repro.eval.tables import table10_single_modality
 
 CFG = EvalConfig(ks=(1, 5, 10), l=128, l_cand=100, gamma=16, eps=3, epochs=10)
-COCO_CFG = EvalConfig(ks=(10, 50, 100), l=256, l_cand=200, gamma=16, eps=3, epochs=10)
 
 
 def test_bench_table10(benchmark, spark):

@@ -4,11 +4,7 @@ Runs the table reproduction once at SF~0.1 scale; rows are printed and
 saved to ``results/bench_table12.json`` (recorded in EXPERIMENTS.md).
 """
 from _bench_util import run_table
-from repro.eval.harness import EvalConfig
 from repro.eval.tables import table12_l_sweep
-
-CFG = EvalConfig(ks=(1, 5, 10), l=128, l_cand=100, gamma=16, eps=3, epochs=10)
-COCO_CFG = EvalConfig(ks=(10, 50, 100), l=256, l_cand=200, gamma=16, eps=3, epochs=10)
 
 
 def test_bench_table12(benchmark, spark):

@@ -256,9 +256,10 @@ model trains in seconds (paper: <200 s) vs hours for embedding models."""
 T21_NOTES = """**Shape check vs paper Tab. XXI / App. M** — reproduced: the weights
 learned on T-shirt transfer to Bottoms with no retraining and MUST keeps
 its large margin — the weights capture modality importance, not content."""
-ABL_NOTES = """**Shape check vs paper Fig. 10** — "ours" and "nsg" are the same
-re-assembled MRNG pipeline by construction (identical edge counts);
-QPS differences between them are run-to-run variance. Reproduced:
+ABL_NOTES = """**Shape check vs paper Fig. 10** — the paper's NSG row is "ours":
+NSG's neighbor rule is MRNG, so an NSG re-assembly on this pipeline is
+the same variant (the former "nsg" row had identical edges and recall,
+and differed from "ours" only by run-to-run QPS). Reproduced:
 MRNG-style pruning halves the edge count of kgraph at equal recall;
 all component re-assemblies reach >0.99 Recall@10(10) on the shared
 pipeline. The multi-vector optimization is lossless (identical results,
@@ -269,8 +270,8 @@ sees larger savings in high-accuracy regimes).
 
 Build times are with the occlusion-scan neighbor selection (DESIGN.md
 §5), n=10,000, γ=20, one run on 4 cores. On the same machine the
-per-candidate selection loop it replaced built ours/nsg/nssg/vamana in
-11.3/11.7/16.2/15.8 s (kgraph, which does not prune: 2.7 s), with the
+per-candidate selection loop it replaced built ours/nssg/vamana in
+11.3/16.2/15.8 s (kgraph, which does not prune: 2.7 s), with the
 same edges, R@10(10) and dots saved. QPS is a single shot and varies
 from run to run by more than the gaps between variants."""
 FOOTER = """

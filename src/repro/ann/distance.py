@@ -28,11 +28,6 @@ def normalize(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
-def ip_matrix(queries: np.ndarray, objects: np.ndarray) -> np.ndarray:
-    """Pairwise IP between rows of ``queries`` (nq,d) and ``objects`` (n,d)."""
-    return queries @ objects.T
-
-
 def joint_ip_matrix(
     q_mats: Sequence[np.ndarray],
     o_mats: Sequence[np.ndarray],

@@ -96,7 +96,6 @@ def ensure_connectivity(nbrs: np.ndarray, seed_vertex: int, vecs: np.ndarray) ->
 VARIANTS: dict[str, dict] = {
     "ours": {"strategy": "mrng", "connect": True},
     "kgraph": {"strategy": "none", "connect": False},
-    "nsg": {"strategy": "mrng", "connect": True},       # MRNG pruning (NSG's rule)
     "nssg": {"strategy": "angle", "connect": True},
     "vamana": {"strategy": "alpha", "alpha": 1.2, "connect": True},
 }

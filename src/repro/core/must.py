@@ -50,12 +50,7 @@ class Must:
             )
         weights, nq = query_weights(qry_mats, self.weights)
         t0 = time.perf_counter()
-        pdf = spark_map.to_pandas(topk_scan(
-            self.spark,
-            [a if a is not None else np.zeros((nq, m.shape[1]), np.float32)
-             for a, m in zip(qry_mats, self.obj_mats)],
-            self.obj_mats, weights, k,
-        ))
+        pdf = spark_map.to_pandas(topk_scan(self.spark, qry_mats, self.obj_mats, weights, k))
         elapsed = time.perf_counter() - t0
         ids, ips = spark_map.scatter_topk(pdf, nq, k)
         return SearchOutput(ids=ids, ips=ips, elapsed_s=elapsed, stats={})

@@ -1,20 +1,21 @@
-"""Vector weight learning (paper §VI) as a distributed Spark job.
+"""Vector weight learning (paper §VI): one Spark stage per epoch, the
+contrastive step on the driver.
 
-The model has only ``m`` scalar parameters ``w_i = omega_i^2``; the heavy
-lifting per epoch is distributed:
+The model has only ``m`` scalar parameters ``w_i = omega_i^2``. Each epoch:
 
 1. **Hard-negative mining** (Eq. 5): a distributed exact top-k scan of
    every anchor against the true-object set ``T`` under the *current*
-   weights (:func:`repro.ann.bruteforce.topk_scan`), emitting per-modality
-   IP columns. The anchor's positive example is always force-included.
-2. **Gradient via aggregation** (Eq. 6): the softmax-contrastive gradient
+   weights (:func:`repro.ann.bruteforce.topk_scan`), collected as an
+   ``(nq, |N-|+1)`` id matrix. The anchor's positive is appended where
+   the scan did not mine it.
+2. **Contrastive step** (Eq. 6, :func:`contrastive_step`): the
+   per-modality IPs of those ``nq x (|N-|+2)`` candidates are gathered
+   on the driver, and the softmax-contrastive gradient
 
        dL/dw_i = mean_p  sum_c (softmax_c - y_c) * IP_i(p, c)
 
-   is computed entirely in Spark SQL — a window softmax over each
-   anchor's candidate rows followed by one ``agg`` producing the loss,
-   Recall@1, and the ``m`` gradient scalars. Only those scalars are
-   collected; the driver applies the gradient step.
+   is computed in numpy with the loss and Recall@1. The rows are few, so
+   they need no Spark job; the driver applies the gradient step.
 
 The paper parameterizes by ``omega_i`` and our gradient is w.r.t.
 ``w_i = omega_i^2``; the two differ by the positive factor ``2*omega_i``
@@ -28,9 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.bruteforce import topk_scan
@@ -48,26 +47,31 @@ class WeightLearnResult:
         return self.history[-1]["loss"] if self.history else float("nan")
 
 
-def _grad_step(df: DataFrame, m: int, nq: int, temperature: float) -> dict:
-    """One aggregation pass: softmax over each anchor's candidates, then
-    loss / Recall@1 / per-modality gradients as Spark SQL aggregates."""
-    wq = Window.partitionBy("qid")
-    wrank = Window.partitionBy("qid").orderBy(F.desc("ip_joint"), F.asc("oid"))
-    scored = (
-        df.withColumn("mx", F.max("ip_joint").over(wq))
-        .withColumn("e", F.exp((F.col("ip_joint") - F.col("mx")) / F.lit(temperature)))
-        .withColumn("z", F.sum("e").over(wq))
-        .withColumn("p", F.col("e") / F.col("z"))
-        .withColumn("top1", (F.row_number().over(wrank) == 1).cast("double"))
-    )
-    y = F.col("is_pos").cast("double")
-    aggs = [
-        (F.sum(F.when(F.col("is_pos"), -F.log(F.col("p")))) / nq).alias("loss"),
-        (F.sum(F.when(F.col("is_pos"), F.col("top1"))) / nq).alias("recall1"),
-    ]
-    for i in range(m):
-        aggs.append((F.sum((F.col("p") - y) * F.col(f"ip_{i}")) / nq).alias(f"g_{i}"))
-    return scored.agg(*aggs).collect()[0].asDict()
+def contrastive_step(
+    ips: np.ndarray, w: np.ndarray, cand: np.ndarray, pos: np.ndarray, temperature: float
+) -> dict:
+    """Loss, Recall@1 and the ``m`` gradients of one epoch (Eq. 6).
+
+    ``cand`` is each anchor's ``(nq, c)`` candidate ids (``-1``: no
+    candidate), ``ips`` their ``(m, nq, c)`` per-modality IPs and
+    ``pos`` each anchor's positive id. Candidates are softmaxed over the
+    joint IP ``sum_i w_i IP_i`` per anchor; every candidate equal to the
+    positive is labelled 1. Recall@1 counts anchors whose top candidate,
+    by joint IP desc then id asc, is the positive.
+    """
+    nq = cand.shape[0]
+    valid = cand >= 0
+    y = cand == pos[:, None]
+    joint = np.tensordot(w, ips, axes=1)
+    mx = np.max(joint, axis=1, where=valid, initial=-np.inf, keepdims=True)
+    e = np.exp((joint - mx) / temperature, where=valid, out=np.zeros_like(joint))
+    p = e / e.sum(axis=1, keepdims=True)
+    top = np.where(valid & (joint == mx), cand, np.iinfo(cand.dtype).max).min(axis=1)
+    return {
+        "loss": -np.log(p[y]).sum() / nq,
+        "recall1": np.count_nonzero(top == pos) / nq,
+        "grad": ((p - y) * ips).sum(axis=(1, 2)) / nq,
+    }
 
 
 def learn_weights(
@@ -93,17 +97,25 @@ def learn_weights(
     whole corpus is scanned.
     """
     m = len(obj_mats)
+    n = obj_mats[0].shape[0]
+    if len(qry_mats) != m:
+        raise ValueError(f"{len(qry_mats)} query modalities for {m} object modalities")
     nq = qry_mats[0].shape[0]
-    positives = np.asarray(positives, dtype=np.int64)
+    positives = np.asarray(positives)
+    if (
+        positives.shape != (nq,)
+        or not np.issubdtype(positives.dtype, np.integer)
+        or not np.all((positives >= 0) & (positives < n))
+    ):
+        raise ValueError(f"positives must be {nq} integer object ids in [0, {n})")
+    if not all(np.isfinite(q).all() for q in qry_mats):
+        raise ValueError("anchor vectors must be finite")
     rng = np.random.default_rng(seed)
 
     if restrict_to_true_set:
-        t_ids = np.unique(positives)
-        remap = {int(o): j for j, o in enumerate(t_ids)}
+        t_ids, mine_pos = np.unique(positives, return_inverse=True)
         mine_obj = [mat[t_ids] for mat in obj_mats]
-        mine_pos = np.array([remap[int(p)] for p in positives], dtype=np.int64)
     else:
-        t_ids = np.arange(obj_mats[0].shape[0])
         mine_obj = list(obj_mats)
         mine_pos = positives
     n_t = mine_obj[0].shape[0]
@@ -115,35 +127,21 @@ def learn_weights(
 
     for epoch in range(epochs):
         if hard_negatives:
-            cand = topk_scan(
-                spark, qry_mats, mine_obj, w, k=n_neg + 1, positives=mine_pos
-            )
+            pdf = spark_map.to_pandas(topk_scan(spark, qry_mats, mine_obj, w, k=n_neg + 1))
+            cand, _ = spark_map.scatter_topk(pdf, nq, n_neg + 1)
+            # the positive is always a candidate: one more column where
+            # the scan did not mine it
+            mined = (cand == mine_pos[:, None]).any(axis=1)
+            cand = np.column_stack([cand, np.where(mined, -1, mine_pos)])
         else:
-            # Random-negative ablation: uniform sample per anchor, scored
-            # on the driver (tiny: nq x (n_neg+1) IPs).
-            neg = rng.integers(0, n_t, size=(nq, n_neg))
-            cand_ids = np.concatenate([mine_pos[:, None], neg], axis=1)
-            rows = {
-                "qid": np.repeat(np.arange(nq), n_neg + 1),
-                "oid": cand_ids.ravel(),
-                "is_pos": (cand_ids == mine_pos[:, None]).ravel(),
-            }
-            joint = np.zeros(nq * (n_neg + 1))
-            for i in range(m):
-                ipv = np.einsum(
-                    "qd,qcd->qc", qry_mats[i], mine_obj[i][cand_ids]
-                ).ravel()
-                rows[f"ip_{i}"] = ipv.astype(np.float64)
-                joint += w[i] * ipv
-            rows["ip_joint"] = joint
-            cand = spark.createDataFrame(pd.DataFrame(rows))
-
-        try:
-            stats = _grad_step(cand, m, nq, temperature)
-        finally:
-            spark_map.release(cand)  # the mining scan's broadcasts
-        grad = np.array([stats[f"g_{i}"] for i in range(m)])
-        w = np.clip(w - lr * grad, 1e-4, None)
+            # Random-negative ablation: uniform sample per anchor
+            cand = np.column_stack([mine_pos, rng.integers(0, n_t, size=(nq, n_neg))])
+        ips = np.stack([
+            np.einsum("qd,qcd->qc", q, o[np.maximum(cand, 0)])
+            for q, o in zip(qry_mats, mine_obj)
+        ]).astype(np.float64)
+        stats = contrastive_step(ips, w, cand, mine_pos, temperature)
+        w = np.clip(w - lr * stats["grad"], 1e-4, None)
         history.append(
             {
                 "epoch": epoch,

@@ -112,11 +112,11 @@ def test_passes_release_on_success(spark, vecs, created):
 
 def test_topk_scan_released_explicitly(spark, vecs, created):
     obj = [vecs[:, :4], vecs[:, 4:]]
-    df = topk_scan(spark, [m[:5] for m in obj], obj, [0.5, 0.5], 3, positives=np.arange(5))
+    df = topk_scan(spark, [m[:5] for m in obj], obj, [0.5, 0.5], 3)
     df.toPandas()
     assert all(b._jbroadcast.isValid() for b in created)
     spark_map.release(df)
-    assert_all_destroyed(created, 3)  # queries, objects, positives
+    assert_all_destroyed(created, 2)  # queries, objects
 
 
 def test_frame_derived_from_a_temporary_scan_runs(spark, vecs):
@@ -134,22 +134,22 @@ def test_scan_consumers_release(spark, vecs, created):
         [m[:5] for m in obj], k=3
     )
     learn_weights(spark, [m[:5] for m in obj], obj, np.arange(5), epochs=2)
-    assert_all_destroyed(created, 3 + 2 * 3)  # MUST-- scan, two mining scans
+    assert_all_destroyed(created, 2 + 2 * 2)  # MUST-- scan, two mining scans
 
 
 def test_mr_brute_releases(spark, vecs, created):
     obj = [vecs[:, :4], vecs[:, 4:]]
     fit_mr(spark, obj, brute=True).search([m[:5] for m in obj], k=3, l_cand=4)
-    assert_all_destroyed(created, 3)  # stacked queries, objects, positives
+    assert_all_destroyed(created, 2)  # stacked queries, objects
 
 
 def test_mr_brute_releases_on_failure(spark, vecs, created, monkeypatch):
-    def failing_topk(scores, k):
+    def failing_topk(qry_mats, obj_mats, weights, k):
         raise RuntimeError("top-k failed")
 
     # the scan's kernel is shipped by value with this global in it
-    monkeypatch.setattr(bruteforce, "topk_from_scores", failing_topk)
+    monkeypatch.setattr(bruteforce, "topk_numpy", failing_topk)
     obj = [vecs[:, :4], vecs[:, 4:]]
     with pytest.raises(PythonException, match="top-k failed"):
         fit_mr(spark, obj, brute=True).search([m[:5] for m in obj], k=3, l_cand=4)
-    assert_all_destroyed(created, 3)
+    assert_all_destroyed(created, 2)

@@ -10,7 +10,7 @@ import pandas as pd
 import pytest
 
 from repro.ann.bruteforce import topk_numpy, topk_scan, topk_sql
-from repro.ann.distance import joint_ip_matrix, normalize
+from repro.ann.distance import normalize
 from repro.datasets import mitstates_lite
 from repro.oracle import assert_equivalent
 
@@ -77,43 +77,6 @@ def test_topk_scan_matches_numpy(spark, ds, k):
         grp = pdf[pdf.qid == qid].sort_values("rank")
         np.testing.assert_array_equal(grp["oid"].to_numpy(), ids[qid])
         np.testing.assert_allclose(grp["ip_joint"].to_numpy(), vals[qid], rtol=1e-4)
-
-
-def test_topk_scan_per_modality_ips_consistent(spark, ds):
-    w = [0.25, 0.75]
-    pdf = topk_scan(spark, ds.qry_mats, ds.obj_mats, w, 4).toPandas()
-    recomb = w[0] * pdf["ip_0"] + w[1] * pdf["ip_1"]
-    np.testing.assert_allclose(recomb, pdf["ip_joint"], rtol=1e-4)
-    # spot-check one ip_0 against numpy
-    r = pdf.iloc[0]
-    expected = float(ds.qry_mats[0][int(r.qid)] @ ds.obj_mats[0][int(r.oid)])
-    assert abs(r.ip_0 - expected) < 1e-4
-
-
-def test_topk_scan_positive_always_present(spark, ds):
-    w = [0.5, 0.5]
-    pdf = topk_scan(
-        spark, ds.qry_mats, ds.obj_mats, w, 3, positives=ds.gt
-    ).toPandas()
-    for qid in range(ds.nq):
-        grp = pdf[pdf.qid == qid]
-        pos = grp[grp.is_pos]
-        assert len(pos) == 1
-        assert int(pos.iloc[0].oid) == int(ds.gt[qid])
-
-
-def test_topk_scan_positive_outside_topk_gets_extra_row(spark):
-    g = np.random.default_rng(0)
-    obj = [normalize(g.standard_normal((50, 4)))]
-    qry = [normalize(g.standard_normal((5, 4)))]
-    joint = joint_ip_matrix(qry, obj, [1.0])
-    # positive = the *worst* object per query, guaranteed outside top-2
-    positives = np.argmin(joint, axis=1)
-    pdf = topk_scan(spark, qry, obj, [1.0], 2, positives=positives).toPandas()
-    for qid in range(5):
-        grp = pdf[pdf.qid == qid]
-        assert len(grp) == 3  # top-2 + forced positive
-        assert int(grp[grp.is_pos].iloc[0]["rank"]) == 3
 
 
 def test_topk_scan_k_larger_than_n(spark):

@@ -5,7 +5,6 @@ import pytest
 from repro.ann.distance import (
     array_ip_col,
     concat_weighted,
-    ip_matrix,
     joint_ip_col,
     joint_ip_matrix,
     normalize,
@@ -39,7 +38,7 @@ def test_ip_matrix_matches_manual(seed):
     g = np.random.default_rng(seed)
     q, o = g.standard_normal((4, 6)), g.standard_normal((9, 6))
     expected = np.array([[qi @ oj for oj in o] for qi in q])
-    np.testing.assert_allclose(ip_matrix(q, o), expected, rtol=1e-6)
+    np.testing.assert_allclose(joint_ip_matrix([q], [o], [1.0]), expected, rtol=1e-6)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])

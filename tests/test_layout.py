@@ -103,3 +103,35 @@ def test_traced_mr_hook_sees_every_sub_search(monkeypatch):
         out = mr.MR(spark=None, obj_mats=[vecs] * 3, indexes=indexes).search(qry, k=2, l_cand=4)
         assert calls == want
         assert out.ids[:, 0].tolist() == [0, 1, 2, 3]
+
+
+def test_traced_mining_hook_sees_every_scan(monkeypatch):
+    """The traced run times the mining scan by wrapping
+    ``repro.core.weights.topk_scan`` and replays its last call for
+    ``weights.mine_s``: ``learn_weights`` calls it once per epoch with
+    hard negatives and never with random ones (run with the distributed
+    map replaced by a local call)."""
+    import numpy as np
+
+    from repro import spark_map
+    from repro.core import weights
+
+    monkeypatch.setattr(
+        spark_map, "lazy", lambda spark, n, fn, schema, *values: fn(np.arange(n), *values))
+    monkeypatch.setattr(spark_map, "to_pandas", lambda pdf: pdf)
+    calls = []
+    scan = weights.topk_scan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "topk_scan", counting)
+    vecs = np.eye(4, dtype=np.float32)
+    for hard, want in ((True, 3), (False, 0)):
+        calls.clear()
+        res = weights.learn_weights(
+            None, [vecs, vecs], [vecs, vecs], np.arange(4), epochs=3, n_neg=2,
+            hard_negatives=hard)
+        assert len(calls) == want
+        assert len(res.history) == 3

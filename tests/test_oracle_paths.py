@@ -1,82 +1,85 @@
-"""Oracle checks for the Catalyst aggregation paths.
+"""Oracle checks for weight learning's contrastive step and the recall
+aggregation.
 
-The weight-learning gradient is a relational computation (window softmax
-+ aggregate) — here it is diffed against DuckDB running the *same SQL
-semantics* over the same candidate rows. Recall aggregation in SQL is
-likewise oracle-checked. This catches wrong window frames / null
-handling that "it ran" would miss.
+The contrastive step (window softmax + aggregate over each anchor's
+candidate rows) runs in numpy on the driver; here it is diffed against
+the same semantics as DuckDB SQL and as the Spark SQL job it replaced
+(``tests/reference_weights.py``). This catches wrong masks, tie-breaks
+and duplicate-label handling that "it ran" would miss.
 """
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
-from repro.ann.distance import normalize
-from repro.core.weights import _grad_step
+from repro.core.weights import contrastive_step
 from repro.oracle import assert_equivalent
+from tests.reference_weights import _grad_step, candidate_rows, duckdb_step
 
 
 @pytest.fixture(scope="module")
-def cand_rows():
-    """Synthetic candidate rows: 6 anchors x 5 candidates, 2 modalities."""
+def cands():
+    """6 anchors x 5 candidates (ids 0..4, the positive is 0), 2 modalities."""
     g = np.random.default_rng(0)
     nq, c = 6, 5
-    rows = pd.DataFrame(
-        {
-            "qid": np.repeat(np.arange(nq), c),
-            "oid": np.tile(np.arange(c), nq),
-            "ip_0": g.random(nq * c),
-            "ip_1": g.random(nq * c),
-        }
-    )
-    rows["ip_joint"] = 0.4 * rows.ip_0 + 0.6 * rows.ip_1
-    rows["is_pos"] = rows.oid == 0
-    return rows
+    ips = g.random((2, nq, c))
+    cand = np.tile(np.arange(c), (nq, 1))
+    return ips, np.array([0.4, 0.6]), cand, np.zeros(nq, dtype=np.int64)
 
 
-def test_grad_step_matches_duckdb(spark, cand_rows):
-    """Spark window-softmax aggregation == DuckDB SQL == numpy."""
-    df = spark.createDataFrame(cand_rows)
-    stats = _grad_step(df, m=2, nq=6, temperature=0.5)
-
-    sql = """
-        WITH mx AS (
-            SELECT *,
-                   max(ip_joint) OVER (PARTITION BY qid) AS m,
-                   row_number() OVER (PARTITION BY qid ORDER BY ip_joint DESC, oid ASC) AS rn
-            FROM cand
-        ),
-        ex AS (
-            SELECT *, exp((ip_joint - m) / 0.5) AS e FROM mx
-        ),
-        sm AS (
-            SELECT *, e / sum(e) OVER (PARTITION BY qid) AS p FROM ex
-        )
-        SELECT sum(CASE WHEN is_pos THEN -ln(p) END) / 6 AS loss,
-               sum(CASE WHEN is_pos AND rn = 1 THEN 1.0 ELSE 0.0 END) / 6 AS recall1,
-               sum((p - CASE WHEN is_pos THEN 1.0 ELSE 0.0 END) * ip_0) / 6 AS g_0,
-               sum((p - CASE WHEN is_pos THEN 1.0 ELSE 0.0 END) * ip_1) / 6 AS g_1
-        FROM sm
-    """
-    got_df = spark.createDataFrame(pd.DataFrame([stats]))
-    assert_equivalent(got_df, sql, cand=cand_rows)
+def assert_same_step(got: dict, want: dict, m: int) -> None:
+    """numpy vs SQL, to 1e-9 relative; summation order differs."""
+    assert got["loss"] == pytest.approx(want["loss"], rel=1e-9, abs=1e-12)
+    assert got["recall1"] == pytest.approx(want["recall1"], rel=1e-9)
+    for i in range(m):
+        assert got["grad"][i] == pytest.approx(want[f"g_{i}"], rel=1e-9, abs=1e-12)
 
 
-def test_grad_step_zero_gradient_when_softmax_matches_labels(spark):
+def test_grad_step_matches_duckdb(spark, cands):
+    """numpy step == DuckDB SQL == the Spark SQL job it replaced."""
+    ips, w, cand, pos = cands
+    rows = candidate_rows(ips, w, cand, pos)
+    got = contrastive_step(ips, w, cand, pos, 0.5)
+    assert_same_step(got, duckdb_step(rows, 2, 6, 0.5), 2)
+    assert_same_step(got, _grad_step(spark.createDataFrame(rows), 2, 6, 0.5), 2)
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Candidate matrices as weight learning builds them: every anchor
+    holds its positive, ids repeat (duplicate positives and negatives),
+    ``-1`` pads, and IPs on a coarse grid tie."""
+    m, nq, c = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n_obj = draw(st.integers(1, 8))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = draw(st.booleans())
+    table = g.integers(-4, 5, (m, nq, n_obj)) / 4 if coarse else g.uniform(-1, 1, (m, nq, n_obj))
+    w = g.integers(1, 5, m) / 4 if coarse else g.uniform(0.01, 2, m)
+    pos = g.integers(0, n_obj, nq)
+    cand = g.integers(0, n_obj, (nq, c))
+    cand[g.random((nq, c)) < 0.3] = -1
+    cand[np.arange(nq), g.integers(0, c, nq)] = pos
+    ips = np.take_along_axis(table, np.maximum(cand, 0)[None], axis=2)
+    return ips, w, cand, pos, draw(st.sampled_from([0.1, 0.5, 1.0]))
+
+
+@given(candidate_matrices())
+@settings(max_examples=60, deadline=None)
+def test_contrastive_step_matches_duckdb_on_random_candidates(args):
+    ips, w, cand, pos, temperature = args
+    m, nq = ips.shape[:2]
+    want = duckdb_step(candidate_rows(ips, w, cand, pos), m, nq, temperature)
+    assert_same_step(contrastive_step(ips, w, cand, pos, temperature), want, m)
+
+
+def test_grad_step_zero_gradient_when_softmax_matches_labels():
     """If the positive has overwhelmingly higher joint IP, p ~ y and the
     gradient vanishes."""
-    rows = pd.DataFrame(
-        {
-            "qid": [0, 0, 0],
-            "oid": [0, 1, 2],
-            "ip_0": [1.0, 0.0, 0.0],
-            "ip_1": [1.0, 0.0, 0.0],
-            "ip_joint": [100.0, 0.0, 0.0],
-            "is_pos": [True, False, False],
-        }
-    )
-    stats = _grad_step(spark.createDataFrame(rows), m=2, nq=1, temperature=1.0)
-    assert abs(stats["g_0"]) < 1e-6 and abs(stats["g_1"]) < 1e-6
+    ips = np.array([[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]])
+    stats = contrastive_step(ips, np.array([50.0, 50.0]), np.array([[0, 1, 2]]), np.array([0]), 1.0)
+    assert np.all(np.abs(stats["grad"]) < 1e-6)
     assert stats["loss"] < 1e-6
     assert stats["recall1"] == 1.0
 
@@ -113,11 +116,11 @@ def test_recall_aggregation_sql_vs_duckdb(spark):
     assert_equivalent(got, sql, results=results, gt=gt)
 
 
-def test_grad_step_matches_numpy_closed_form(spark, cand_rows):
-    df = spark.createDataFrame(cand_rows)
-    stats = _grad_step(df, m=2, nq=6, temperature=1.0)
+def test_grad_step_matches_numpy_closed_form(cands):
+    ips, w, cand, pos = cands
+    stats = contrastive_step(ips, w, cand, pos, 1.0)
     loss, g0 = 0.0, 0.0
-    for qid, grp in cand_rows.groupby("qid"):
+    for qid, grp in candidate_rows(ips, w, cand, pos).groupby("qid"):
         z = grp.ip_joint.to_numpy()
         p = np.exp(z - z.max())
         p /= p.sum()
@@ -125,4 +128,4 @@ def test_grad_step_matches_numpy_closed_form(spark, cand_rows):
         loss += -np.log(p[y == 1][0])
         g0 += np.sum((p - y) * grp.ip_0.to_numpy())
     assert stats["loss"] == pytest.approx(loss / 6, rel=1e-6)
-    assert stats["g_0"] == pytest.approx(g0 / 6, rel=1e-6)
+    assert stats["grad"][0] == pytest.approx(g0 / 6, rel=1e-6)

@@ -102,7 +102,7 @@ def test_table13_learned_weights_rows(spark):
 def test_ablation_graphs_rows(spark):
     rows = T.ablation_graphs(spark, n=400, nq=30, gamma=8, l=40)
     variants = {r["variant"] for r in rows}
-    assert variants == {"ours", "kgraph", "nsg", "nssg", "vamana"}
+    assert variants == {"ours", "kgraph", "nssg", "vamana"}
     ours = [r for r in rows if r["variant"] == "ours"]
     assert {r["optimize"] for r in ours} == {True, False}
     opt_on = next(r for r in ours if r["optimize"])

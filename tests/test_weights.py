@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.ann.distance import normalize
+from repro.ann.bruteforce import topk_numpy
+from repro.ann.distance import joint_ip_matrix, normalize
+from repro.core import weights as weights_mod
 from repro.core.weights import learn_weights
 from repro.datasets import celeba_lite, mitstates_lite
 
@@ -20,16 +22,10 @@ def toy_problem(n=80, nq=30, seed=0, noise0=1.5, noise1=0.05):
     return [qry0, qry1], [obj0, obj1], pos
 
 
-def test_gradient_matches_numpy_reference(spark):
-    """One epoch's Spark-aggregated gradient == the closed-form numpy
-    softmax-contrastive gradient on the same mined candidates."""
-    qry, obj, pos = toy_problem()
-    w0 = np.array([0.5, 0.5])
-    res = learn_weights(
-        spark, qry, obj, pos, epochs=1, lr=1.0, n_neg=5, temperature=1.0,
-        init=w0, restrict_to_true_set=False,
-    )
-    # numpy reference: mine top-6 under w0, force positive, softmax grad
+def reference_epoch(qry, obj, pos, w0, k):
+    """Closed-form first epoch (temperature 1): mine the exact top-k
+    under ``w0``, append the positive where it is missing, then the
+    softmax-contrastive loss and gradient."""
     m = len(obj)
     nq = qry[0].shape[0]
     ips = [qry[i] @ obj[i].T for i in range(m)]
@@ -37,7 +33,7 @@ def test_gradient_matches_numpy_reference(spark):
     grads = np.zeros(m)
     loss = 0.0
     for j in range(nq):
-        top = np.argsort(-joint[j], kind="stable")[:6].tolist()
+        top = np.argsort(-joint[j], kind="stable")[:k].tolist()
         if pos[j] not in top:
             top.append(int(pos[j]))
         top = np.array(top)
@@ -48,8 +44,32 @@ def test_gradient_matches_numpy_reference(spark):
         loss += -np.log(p[y == 1][0])
         for i in range(m):
             grads[i] += np.sum((p - y) * ips[i][j][top])
-    grads /= nq
-    loss /= nq
+    return loss / nq, grads / nq
+
+
+def spy_steps(monkeypatch) -> list[tuple]:
+    """The arguments of every ``contrastive_step`` call ``learn_weights`` makes."""
+    calls = []
+    real = weights_mod.contrastive_step
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weights_mod, "contrastive_step", spy)
+    return calls
+
+
+def test_gradient_matches_numpy_reference(spark):
+    """One epoch's gradient == the closed-form numpy softmax-contrastive
+    gradient on the same mined candidates."""
+    qry, obj, pos = toy_problem()
+    w0 = np.array([0.5, 0.5])
+    res = learn_weights(
+        spark, qry, obj, pos, epochs=1, lr=1.0, n_neg=5, temperature=1.0,
+        init=w0, restrict_to_true_set=False,
+    )
+    loss, grads = reference_epoch(qry, obj, pos, w0, 6)
     assert res.history[0]["loss"] == pytest.approx(loss, rel=1e-4)
     np.testing.assert_allclose(res.weights, np.clip(w0 - grads, 1e-4, None), rtol=1e-4)
 
@@ -119,7 +139,6 @@ def test_learned_weights_near_grid_optimum_on_celeba(spark):
     """The learned weights should reach eval recall close to the best
     weight found by a brute grid sweep (the paper's point: learning
     replaces manual weight picking, Appendix E)."""
-    from repro.ann.bruteforce import topk_numpy
     from repro.eval.metrics import recall_at_k
 
     ds = celeba_lite(("resnet50", "encoding"), n=600, nq=160)
@@ -142,3 +161,69 @@ def test_training_recall_improves_on_mitstates(spark):
     ds = mitstates_lite(("resnet50", "lstm"), n=600, nq=80)
     res = learn_weights(spark, ds.qry_mats, ds.obj_mats, ds.gt, epochs=12, seed=0)
     assert res.history[-1]["recall1"] >= res.history[0]["recall1"]
+
+
+def test_candidates_hold_the_positive_once_with_their_ips(spark, monkeypatch):
+    """Every anchor's candidates hold its positive exactly once, each
+    candidate's per-modality IPs are its exact IPs, and a scan that finds
+    fewer than ``n_neg + 1`` objects in ``T`` pads with ``-1``."""
+    qry, obj, pos = toy_problem(n=200, nq=15)
+    calls = spy_steps(monkeypatch)
+    learn_weights(spark, qry, obj, pos, epochs=2, n_neg=20, seed=0)
+    t_ids = np.unique(pos)
+    assert len(calls) == 2
+    for ips, _, cand, mine_pos, _ in calls:
+        np.testing.assert_array_equal(t_ids[mine_pos], pos)
+        assert ((cand == mine_pos[:, None]).sum(axis=1) == 1).all()
+        assert (cand == -1).any()
+        q, c = np.nonzero(cand >= 0)
+        for i in range(2):
+            want = np.sum(qry[i][q] * obj[i][t_ids[cand[q, c]]], axis=1)
+            np.testing.assert_allclose(ips[i][q, c], want, rtol=1e-5, atol=1e-6)
+
+
+def test_positive_outside_the_top_k_is_appended(spark, monkeypatch):
+    """The positive is the worst object: the candidates are the exact
+    top ``n_neg + 1`` plus the positive, and the first epoch's loss is the
+    closed form's."""
+    qry, obj, _ = toy_problem()
+    w0 = np.array([0.5, 0.5])
+    pos = np.argmin(joint_ip_matrix(qry, obj, w0), axis=1)
+    calls = spy_steps(monkeypatch)
+    res = learn_weights(
+        spark, qry, obj, pos, epochs=1, n_neg=5, temperature=1.0,
+        init=w0, restrict_to_true_set=False,
+    )
+    cand = calls[0][2]
+    np.testing.assert_array_equal(cand[:, :6], topk_numpy(qry, obj, w0, 6)[0])
+    np.testing.assert_array_equal(cand[:, 6], pos)
+    loss, _ = reference_epoch(qry, obj, pos, w0, 6)
+    assert res.history[0]["loss"] == pytest.approx(loss, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda pos, n: np.where(np.arange(len(pos)) == 0, -1, pos),
+    lambda pos, n: np.where(np.arange(len(pos)) == 0, n, pos),
+    lambda pos, n: pos.astype(np.float64),
+    lambda pos, n: pos[:-1],
+    lambda pos, n: pos[:, None],
+], ids=["minus_one", "n", "float", "one_short", "column"])
+def test_positives_must_be_one_object_id_per_anchor(bad):
+    qry, obj, pos = toy_problem()
+    with pytest.raises(ValueError, match="positives"):
+        learn_weights(None, qry, obj, bad(pos, obj[0].shape[0]), epochs=1)
+
+
+def test_query_and_object_modality_counts_must_match():
+    qry, obj, pos = toy_problem()
+    with pytest.raises(ValueError, match="modalities"):
+        learn_weights(None, qry[:1], obj, pos, epochs=1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_anchors_must_be_finite(value):
+    qry, obj, pos = toy_problem()
+    qry[1] = qry[1].copy()
+    qry[1][3, 2] = value
+    with pytest.raises(ValueError, match="finite"):
+        learn_weights(None, qry, obj, pos, epochs=1)
