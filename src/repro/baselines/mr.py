@@ -54,7 +54,7 @@ class MR:
         value. Its candidates are the per-modality exact top-``l_cand``,
         ties to the smaller id, as ``t`` separate scans would return.
         """
-        _, nq = query_weights(qry_mats, [1.0] * len(qry_mats))
+        _, nq = query_weights(qry_mats, [1.0] * len(qry_mats), self.obj_mats)
         active = [i for i, q in enumerate(qry_mats) if q is not None]
         t = len(active)
         t0 = time.perf_counter()

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.beam_search import beam_search_batch
-from repro.core.fused_index import FusedIndex
+from repro.core.fused_index import FusedIndex, check_unit_norm, check_weights
 
 # queries per lockstep batch inside a partition. The kernel's per-object
 # state is one (batch, n) bool "scored" map: 256 B per object at any n,
@@ -29,9 +29,6 @@ from repro.core.fused_index import FusedIndex
 # cache and bool expanded map (9 B per object and query). The (batch, l)
 # pools come on top, as before. A 128-query partition is one batch.
 _BATCH = 256
-# Lemma 4 prunes with the bound IP <= 1, so a query row's L2 norm may
-# exceed 1 only by float32 rounding of a normalized row (zero rows pass)
-_NORM_TOL = 1e-4
 _COUNTERS = ("n_expanded", "n_candidates", "n_dots", "n_dots_saved")
 
 
@@ -50,18 +47,30 @@ class SearchOutput:
 
 
 def query_weights(
-    qry_mats: Sequence[np.ndarray | None], weights: Sequence[float]
+    qry_mats: Sequence[np.ndarray | None],
+    weights: Sequence[float],
+    obj_mats: Sequence[np.ndarray],
 ) -> tuple[list[float], int]:
     """The weights a query batch is scored under, and its size: an absent
     query modality (``qry_mats[i] is None``) gets weight 0 (§VII-B).
-    Weights must be finite and >= 0."""
-    given = [a for a in qry_mats if a is not None]
+    There must be one weight per modality, finite and >= 0; the given
+    query matrices must share one row count, and each must have its
+    object modality's column count."""
+    if len(qry_mats) != len(obj_mats):
+        raise ValueError(f"{len(qry_mats)} query modalities for {len(obj_mats)} object modalities")
+    w = check_weights(weights, len(obj_mats))
+    given = [(i, np.shape(q)) for i, q in enumerate(qry_mats) if q is not None]
     if not given:
         raise ValueError("every query modality is None; at least one must be given")
-    w = [float(w) if q is not None else 0.0 for q, w in zip(qry_mats, weights, strict=True)]
-    if not all(np.isfinite(x) and x >= 0.0 for x in weights):
-        raise ValueError(f"modality weights must be finite and >= 0, got {list(weights)}")
-    return w, given[0].shape[0]
+    nq = given[0][1][0]
+    for i, shape in given:
+        want = (nq, np.shape(obj_mats[i])[1])
+        if shape != want:
+            raise ValueError(
+                f"query modality {i} has shape {shape}, expected {want}: one row "
+                "count across query modalities, its object modality's column count"
+            )
+    return [float(x) if q is not None else 0.0 for q, x in zip(qry_mats, w)], nq
 
 
 def joint_search(
@@ -79,17 +88,8 @@ def joint_search(
     (``qry_mats[i] is None``) contribute zero weight (§VII-B). Query rows
     must have L2 norm <= 1 (Lemma 4's bound); a longer row raises
     ``ValueError`` rather than silently losing neighbors."""
-    weights, nq = query_weights(qry_mats, index.weights)
-    for i, q in enumerate(qry_mats):
-        if q is None:
-            continue
-        norms = np.linalg.norm(np.asarray(q, np.float64), axis=1)
-        bad = np.flatnonzero(~(norms <= 1.0 + _NORM_TOL))  # NaN fails too
-        if len(bad):
-            raise ValueError(
-                f"query modality {i}, row {bad[0]}: L2 norm {norms[bad[0]]:.6g} > 1; "
-                "normalize query vectors (Lemma 4 assumes IP <= 1)"
-            )
+    weights, nq = query_weights(qry_mats, index.weights, obj_mats)
+    check_unit_norm(qry_mats, "query")
     seed_vertex = index.graph.seed_vertex
 
     def run(qids_all: np.ndarray, obj, qry, nbrs) -> pd.DataFrame:

@@ -17,7 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.bruteforce import topk_scan
-from repro.core.fused_index import FusedIndex, build_fused_index
+from repro.core.fused_index import FusedIndex, build_fused_index, check_objects, check_weights
 from repro.core.joint_search import SearchOutput, joint_search, query_weights
 from repro.core.weights import WeightLearnResult, learn_weights
 
@@ -48,7 +48,7 @@ class Must:
                 self.spark, qry_mats, self.obj_mats, self.index, k,
                 l or max(4 * k, 100), optimize=optimize, seed=seed,
             )
-        weights, nq = query_weights(qry_mats, self.weights)
+        weights, nq = query_weights(qry_mats, self.weights, self.obj_mats)
         t0 = time.perf_counter()
         pdf = spark_map.to_pandas(topk_scan(self.spark, qry_mats, self.obj_mats, weights, k))
         elapsed = time.perf_counter() - t0
@@ -74,12 +74,16 @@ def fit_must(
 
     Weight precedence: explicit ``weights`` (user-defined, Tab. IX) >
     learned from ``train_qry_mats``/``train_positives`` (§VI) > uniform.
+    Objects and explicit weights must meet
+    :mod:`repro.core.fused_index`'s input contract (``ValueError``
+    before any Spark job).
     """
     obj_mats = [np.ascontiguousarray(a, np.float32) for a in obj_mats]
+    check_objects(obj_mats)
     m = len(obj_mats)
     wres = None
     if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
+        w = check_weights(weights, m)
     elif train_qry_mats is not None and train_positives is not None:
         wres = learn_weights(
             spark, train_qry_mats, obj_mats, train_positives,

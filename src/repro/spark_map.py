@@ -22,15 +22,39 @@ otherwise calls it once no job on that DataFrame, or on one derived from
 it, will run again. Garbage collection cannot tell when that is: a
 DataFrame derived from a temporary (``lazy(...).select(...)``) still
 needs the broadcasts after the temporary is gone.
+
+Worker import state: pyspark 4.1 starts every Python task with
+``importlib.invalidate_caches()``, which makes each cached zip importer
+re-read its archive's directory (``pyspark.zip`` and its sub-packages,
+the py4j zip, the spark-core jar: 16 importers on a reused worker, the
+bulk of the per-task floor, DESIGN.md §5). Each task therefore ends with
+:func:`_drop_zip_importers`, so the next task on the reused worker has
+none to refresh.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.broadcast import Broadcast
 from pyspark.sql import DataFrame, SparkSession
+
+
+def _drop_zip_importers() -> None:
+    """Forget the worker's zip importers and its ``.jar`` path entries.
+
+    ``sys.path_importer_cache`` is a cache: a later import of a module not
+    yet loaded rebuilds the importer through ``sys.path_hooks`` (one
+    directory read), and loaded modules keep their own loaders. The jars
+    on ``sys.path`` (the spark-core jar) hold no Python.
+    """
+    sys.path[:] = [p for p in sys.path if not p.endswith(".jar")]
+    for key, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[key]
 
 
 def _destroy(owned: list[Broadcast]) -> None:
@@ -47,11 +71,14 @@ def lazy(
     shipped, owned = [], []
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        vals = [b.value for b in shipped]
-        for pdf in batches:
-            batch = pdf["id"].to_numpy()
-            if len(batch):
-                yield fn(batch, *vals)
+        try:
+            vals = [b.value for b in shipped]
+            for pdf in batches:
+                batch = pdf["id"].to_numpy()
+                if len(batch):
+                    yield fn(batch, *vals)
+        finally:
+            _drop_zip_importers()
 
     try:
         for v in values:

@@ -46,7 +46,7 @@ def mr_search(
     mr: MR, qry_mats: list[np.ndarray | None], k: int, l_cand: int, *, seed: int = 0
 ) -> np.ndarray:
     """t separate vector searches + intersection merge → ``(nq, k)`` ids."""
-    _, nq = query_weights(qry_mats, [1.0] * len(qry_mats))
+    _, nq = query_weights(qry_mats, [1.0] * len(qry_mats), mr.obj_mats)
     active = [i for i, q in enumerate(qry_mats) if q is not None]
     per_mod: list[np.ndarray] = []
     for i in active:

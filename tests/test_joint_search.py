@@ -130,7 +130,7 @@ def test_zero_query_rows_allowed(spark, setup):
 def test_weights_must_be_finite_and_nonnegative(spark, setup, bad):
     ds, _, index = setup
     with pytest.raises(ValueError, match="weights"):
-        js.query_weights(ds.qry_mats, [0.5, bad])
+        js.query_weights(ds.qry_mats, [0.5, bad], ds.obj_mats)
     bad_index = FusedIndex(graph=index.graph, weights=np.array([0.5, bad]))
     with pytest.raises(ValueError, match="weights"):
         joint_search(spark, ds.qry_mats, ds.obj_mats, bad_index, 5, 40)

@@ -1,9 +1,14 @@
 """Tests for the MUST facade (repro.core.must)."""
+import functools
+
 import numpy as np
 import pytest
 
+from repro import spark_map
 from repro.ann.bruteforce import topk_numpy
 from repro.ann.distance import normalize
+from repro.baselines.mr import fit_mr
+from repro.core.fused_index import build_fused_index
 from repro.core.must import fit_must
 from repro.datasets import mitstates_lite
 from repro.eval.metrics import recall_at_k
@@ -122,3 +127,82 @@ def test_brute_search_any_batch_size(spark, ds):
         qry = [m[:nq] for m in ds.qry_mats]
         exact, _ = topk_numpy(qry, ds.obj_mats, w, 5)
         np.testing.assert_array_equal(model.search(qry, k=5).ids, exact)
+
+
+@pytest.fixture
+def no_spark_job(monkeypatch):
+    """Every Spark op goes through ``spark_map.lazy``: make it fail the
+    test, so a contract error is seen to come before any job."""
+
+    def job(*args, **kwargs):
+        raise AssertionError("a Spark job ran before the input was rejected")
+
+    monkeypatch.setattr(spark_map, "lazy", job)
+
+
+def _bad_build_inputs():
+    g = np.random.default_rng(5)
+    obj = [normalize(g.standard_normal((20, 6))), normalize(g.standard_normal((20, 4)))]
+    long_row = [obj[0], obj[1].copy()]
+    long_row[1][7] *= 1.01
+    return {
+        "negative weight": (obj, [-0.5, 1.0], "weights"),
+        "nan weight": (obj, [np.nan, 1.0], "weights"),
+        "inf weight": (obj, [np.inf, 1.0], "weights"),
+        "too few weights": (obj, [1.0], "weights"),
+        "too many weights": (obj, [0.5, 0.3, 0.2], "weights"),
+        "row counts differ": ([obj[0], obj[1][:19]], [0.5, 0.5], "row count"),
+        "object norm > 1": (long_row, [0.5, 0.5], "object modality 1, row 7"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_build_inputs()))
+@pytest.mark.parametrize("brute", [False, True])
+def test_fit_rejects_bad_build_inputs(spark, no_spark_job, case, brute):
+    """Negative or non-finite weights, m mismatches, ragged modalities and
+    object rows longer than 1 (Lemma 4 bounds IPs on both sides) raise
+    ``ValueError`` before any Spark job, for the index and for MUST--."""
+    obj, w, match = _bad_build_inputs()[case]
+    with pytest.raises(ValueError, match=match):
+        fit_must(spark, obj, weights=w, brute=brute, gamma=6, eps=2)
+    if not brute:
+        with pytest.raises(ValueError, match=match):
+            build_fused_index(spark, obj, w, gamma=6, eps=2)
+
+
+def test_fit_checks_objects_before_learning_weights(spark, no_spark_job):
+    obj, _, _ = _bad_build_inputs()["object norm > 1"]
+    g = np.random.default_rng(6)
+    qry = [normalize(g.standard_normal((5, 6))), normalize(g.standard_normal((5, 4)))]
+    with pytest.raises(ValueError, match="object modality 1"):
+        fit_must(spark, obj, train_qry_mats=qry, train_positives=np.arange(5), brute=True)
+
+
+def test_zero_object_rows_pass_the_build_contract(spark):
+    g = np.random.default_rng(7)
+    obj = [normalize(g.standard_normal((20, 6))), normalize(g.standard_normal((20, 4)))]
+    obj[1][:2] = 0.0
+    model = fit_must(spark, obj, weights=[0.5, 0.5], gamma=6, eps=2)
+    assert model.index.graph.nbrs.shape[0] == 20
+
+
+@pytest.mark.parametrize("case", ["more rows", "fewer rows", "columns"])
+@pytest.mark.parametrize("path", ["index", "brute", "mr"])
+def test_search_rejects_bad_query_shapes(spark, tiny, no_spark_job, path, case):
+    """A query modality with another row count than the others (unchecked,
+    it would be cut to the first rows, or fail inside a worker) or another
+    column count than its object modality raises ``ValueError`` before any
+    job, in ``Must.search`` (index and MUST--) and ``MR.search``."""
+    qry, obj, _, models = tiny
+    q0, q1 = qry
+    bad = {
+        "more rows": [q0, np.concatenate([q1, q1[:2]])],
+        "fewer rows": [q0, q1[:-2]],
+        "columns": [q0, np.pad(q1, ((0, 0), (0, 1)))],
+    }[case]
+    if path == "mr":
+        search = functools.partial(fit_mr(spark, obj, brute=True).search, l_cand=5)
+    else:
+        search = models[path].search
+    with pytest.raises(ValueError, match="query modality 1 has shape"):
+        search(bad, k=5)
