@@ -1,13 +1,5 @@
-"""Shared runner for the per-table spark-submit entrypoints.
-
-Each job module defines ``TABLE`` (a callable from
-:mod:`repro.eval.tables`) plus optional ``KWARGS``; :func:`main` builds
-the session, runs it, and prints the rows as a monospace table.
-"""
+"""The SparkSession the table jobs, the tests and the benchmark share."""
 from __future__ import annotations
-
-import json
-import sys
 
 from pyspark.sql import SparkSession
 
@@ -19,21 +11,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-
-
-def main(table_fn, title: str, **kwargs) -> list[dict]:
-    from repro.eval.harness import format_table
-
-    spark = get_spark(title)
-    spark.sparkContext.setLogLevel("ERROR")
-    rows = table_fn(spark, **kwargs)
-    cols: list[str] = []
-    for r in rows:
-        for c in r:
-            if c not in cols:
-                cols.append(c)
-    print(f"\n== {title} ==")
-    print(format_table(rows, cols))
-    print(json.dumps(rows, default=str), file=sys.stderr)
-    spark.stop()
-    return rows

@@ -1,8 +1,9 @@
 """Render EXPERIMENTS.md from results/*.json + the paper's numbers.
 
 Run after ``pytest benchmarks/ --benchmark-only`` has populated
-``results/``: ``python jobs/render_experiments.py``. Missing result
-files render as "(bench not run)" so the document degrades gracefully.
+``results/bench_<name>.json`` for the names of
+:data:`repro.eval.tables.TABLES`: ``python jobs/render_experiments.py``.
+A missing result file leaves its section out.
 """
 from __future__ import annotations
 
@@ -190,9 +191,11 @@ substrate described in DESIGN.md §2 (scale: n≈6k–80k objects instead of
 numbers are **not** expected to match — the substrate is a simulator —
 but the *shapes* (which framework wins, by roughly what factor, where
 crossovers fall) are the reproduction target and are called out per
-table. Regenerate any table with its `jobs/table*.py` entrypoint or
-`pytest benchmarks/bench_table*.py --benchmark-only`; this file is
-rendered by `python jobs/render_experiments.py`.
+table. Regenerate a table with `python jobs/run_table.py <name>` (full
+scale) or `pytest benchmarks/ --benchmark-only -k <name>` (the scale
+reported here, into `results/bench_<name>.json`), where `<name>` is
+`table3` … `table13`, `table5_bottoms` (Tab. XXI) or `ablation_graphs`
+(Fig. 10); this file is rendered by `python jobs/render_experiments.py`.
 """
 
 T3_NOTES = """**Shape check vs paper Tab. III** — reproduced: MUST beats MR beats JE

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.fused_index import FusedIndex, build_fused_index
+from repro.core.fused_index import FusedIndex, build_fused_index, check_objects
 from repro.core.joint_search import SearchOutput, query_weights
 from repro.core.must import Must
 
@@ -125,8 +125,12 @@ def fit_mr(
     eps: int = 3,
     seed: int = 0,
 ) -> MR:
-    """Build MR: m single-modality graph indexes (skipped for MR--)."""
+    """Build MR: m single-modality graph indexes (skipped for MR--).
+
+    The objects must meet :func:`check_objects` (``ValueError`` before
+    any Spark job)."""
     obj_mats = [np.ascontiguousarray(a, np.float32) for a in obj_mats]
+    check_objects(obj_mats)
     indexes = None
     t0 = time.perf_counter()
     if not brute:

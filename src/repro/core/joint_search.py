@@ -43,6 +43,7 @@ class SearchOutput:
 
     @property
     def qps(self) -> float:
+        """Queries per second: #queries / response time (paper §VIII-A)."""
         return self.ids.shape[0] / max(self.elapsed_s, 1e-9)
 
 

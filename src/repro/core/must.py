@@ -38,7 +38,6 @@ class Must:
         k: int,
         l: int | None = None,
         *,
-        optimize: bool = True,
         seed: int = 0,
     ) -> SearchOutput:
         """Joint search; falls back to the exact distributed scan when no
@@ -46,7 +45,7 @@ class Must:
         if self.index is not None:
             return joint_search(
                 self.spark, qry_mats, self.obj_mats, self.index, k,
-                l or max(4 * k, 100), optimize=optimize, seed=seed,
+                l or max(4 * k, 100), seed=seed,
             )
         weights, nq = query_weights(qry_mats, self.weights, self.obj_mats)
         t0 = time.perf_counter()
@@ -66,7 +65,6 @@ def fit_must(
     brute: bool = False,
     gamma: int = 30,
     eps: int = 3,
-    variant: str = "ours",
     epochs: int = 30,
     seed: int = 0,
 ) -> Must:
@@ -95,7 +93,7 @@ def fit_must(
     index = None
     if not brute:
         index = build_fused_index(
-            spark, obj_mats, w, gamma=gamma, eps=eps, variant=variant, seed=seed
+            spark, obj_mats, w, gamma=gamma, eps=eps, seed=seed
         )
     return Must(
         spark=spark, obj_mats=list(obj_mats), weights=w,

@@ -55,10 +55,6 @@ class MSTMDataset:
     def nq(self) -> int:
         return self.gt.shape[0]
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(m.shape[1] for m in self.obj_mats)
-
     def objects_df(self, spark: SparkSession) -> DataFrame:
         """Objects as ``(id bigint, v0 array<double>, ..., v{m-1})``."""
         data = {"id": np.arange(self.n, dtype=np.int64)}

@@ -8,7 +8,9 @@ Protocol shared by all accuracy tables:
   (so MUST never scores the anchors it trained on);
 * Recall@k(1) and SME are means over the evaluation split;
 * all frameworks share the same encoders and the same graph machinery
-  (paper §VIII-A "fair comparison" setup).
+  (paper §VIII-A "fair comparison" setup). JE (paper §III) fuses the
+  query into one composition vector in the target modality's space, so
+  it is MUST over the target-modality objects alone, weight 1.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.baselines.je import fit_je
 from repro.baselines.mr import fit_mr
 from repro.core.must import fit_must
 from repro.datasets import MSTMDataset
@@ -96,9 +97,9 @@ def evaluate(
         )
         out = model.search(eval_q, k=k, l_cand=cfg.l_cand, seed=cfg.seed)
         row["build_s"] = model.build_seconds
-    else:  # je / je--
-        model = fit_je(
-            spark, ds.obj_mats[0], brute=framework == "je--",
+    else:  # je / je--: MUST over the target modality alone, weight 1
+        model = fit_must(
+            spark, [ds.obj_mats[0]], weights=[1.0], brute=framework == "je--",
             gamma=cfg.gamma, eps=cfg.eps, seed=cfg.seed,
         )
         out = model.search([eval_q[0]], k=k, l=cfg.l, seed=cfg.seed)
@@ -112,8 +113,10 @@ def evaluate(
     return row
 
 
-def format_table(rows: list[dict], cols: list[str]) -> str:
-    """Monospace table for EXPERIMENTS.md / job stdout."""
+def format_table(rows: list[dict]) -> str:
+    """Monospace table of ``rows``: one column per key, in order of first
+    appearance."""
+    cols = list(dict.fromkeys(c for r in rows for c in r))
     header = " | ".join(f"{c:>12}" for c in cols)
     lines = [header, "-" * len(header)]
     for r in rows:

@@ -1,4 +1,5 @@
-"""Evaluation metrics of the paper: Recall@k(k'), SME, QPS (§VIII-A)."""
+"""Evaluation metrics of the paper: Recall@k(k') and SME (§VIII-A); QPS
+is :attr:`repro.core.joint_search.SearchOutput.qps`."""
 from __future__ import annotations
 
 import numpy as np
@@ -36,8 +37,3 @@ def sme(results: np.ndarray, gt: np.ndarray, target_obj_mat: np.ndarray) -> floa
         a = int(gt[j]) if gt.ndim == 1 else int(gt[j, 0])
         errs.append(1.0 - float(target_obj_mat[a] @ target_obj_mat[int(r)]))
     return float(np.mean(errs))
-
-
-def qps(n_queries: int, elapsed_s: float) -> float:
-    """Queries per second (#q / total response time, paper §VIII-A)."""
-    return n_queries / max(elapsed_s, 1e-9)

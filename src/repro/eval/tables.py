@@ -1,13 +1,15 @@
 """One function per paper table (DESIGN.md §4 maps table -> module).
 
-Each ``table*`` function returns a list of row dicts and is shared by
-the ``jobs/`` spark-submit entrypoints and the ``benchmarks/`` suite.
-Scale knobs default to benchmark size (SF~0.1-equivalent); tests call
-them with smaller ``n``/``nq``.
+Each ``table*`` function returns a list of row dicts. Its scale knobs
+default to the full size; :data:`TABLES` names every table once, with the
+arguments ``jobs/run_table.py`` and ``benchmarks/bench_tables.py`` call it
+with, and tests call the functions at smaller ``n``/``nq``.
 """
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -16,13 +18,14 @@ from repro import datasets as D
 from repro import spark_map
 from repro.ann.bruteforce import topk_numpy, topk_scan
 from repro.ann.distance import concat_weighted
-from repro.ann.graphs import VARIANTS, build_graph, centroid_seed, ensure_connectivity
+from repro.ann.graphs import VARIANTS, build_graph
 from repro.ann.nndescent import build_knn_graph, graph_quality
 from repro.core.fused_index import FusedIndex, build_fused_index
 from repro.core.joint_search import joint_search
 from repro.core.must import fit_must
-from repro.core.weights import learn_weights
+from repro.core.weights import WeightLearnResult, learn_weights
 from repro.baselines.mr import fit_mr
+from repro.datasets import MSTMDataset
 from repro.eval.harness import EvalConfig, evaluate, split_queries
 from repro.eval.metrics import recall_at_k
 
@@ -45,6 +48,18 @@ TABLE6_JE = ["mpc"]
 TABLE6_COMBOS = [
     ("mpc", "gru", "resnet50"), ("resnet50", "gru", "resnet50"),
 ]
+
+
+def _learn_on_train_half(
+    spark: SparkSession, ds: MSTMDataset, *, epochs: int, seed: int
+) -> WeightLearnResult:
+    """Learn ``ds``'s modality weights on its training half of queries
+    (:func:`split_queries`)."""
+    tr, _ = split_queries(ds)
+    return learn_weights(
+        spark, [m[tr] for m in ds.qry_mats], ds.obj_mats, ds.gt[tr],
+        epochs=epochs, seed=seed,
+    )
 
 
 def _accuracy_table(
@@ -101,11 +116,7 @@ def table5_shopping(spark, *, category="tshirt", n=12000, nq=400, cfg=None) -> l
     for combo in TABLE5_COMBOS:
         # learn on tshirt, evaluate on bottoms (shared output weights)
         src = D.shopping_lite("tshirt", combo, n=n, nq=nq)
-        tr, _ = split_queries(src)
-        w = learn_weights(
-            spark, [m[tr] for m in src.qry_mats], src.obj_mats, src.gt[tr],
-            epochs=cfg.epochs, seed=cfg.seed,
-        ).weights
+        w = _learn_on_train_half(spark, src, epochs=cfg.epochs, seed=cfg.seed).weights
         row = evaluate(spark, builder(combo, n=n, nq=nq), "must", cfg, weights=w)
         row["weights_from"] = "tshirt"
         rows.append(row)
@@ -138,11 +149,7 @@ def table7_scale(
     # learn weights once at the smallest scale (paper uses one learned
     # weight set per dataset family, Tab. XVIII)
     ds0 = D.imagetext(scales[0], nq=nq, seed=seed)
-    tr, _ = split_queries(ds0)
-    w = learn_weights(
-        spark, [m[tr] for m in ds0.qry_mats], ds0.obj_mats, ds0.gt[tr],
-        epochs=15, seed=seed,
-    ).weights
+    w = _learn_on_train_half(spark, ds0, epochs=15, seed=seed).weights
     for n in scales:
         ds = D.imagetext(n, nq=nq, seed=seed)
         gt10, _ = topk_numpy(ds.qry_mats, ds.obj_mats, w, 10)
@@ -285,11 +292,8 @@ def table12_l_sweep(
     (Recall@10(10) + response time) and MR l_cand-sweep (semantic recall
     plateau + QPS; MUST is ~10x faster at matched recall)."""
     ds = D.imagetext(n, nq=nq, seed=seed)
-    tr, ev = split_queries(ds)
-    w = learn_weights(
-        spark, [m[tr] for m in ds.qry_mats], ds.obj_mats, ds.gt[tr],
-        epochs=15, seed=seed,
-    ).weights
+    _, ev = split_queries(ds)
+    w = _learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
     gt10, _ = topk_numpy([m[ev] for m in ds.qry_mats], ds.obj_mats, w, 10)
     index = build_fused_index(spark, ds.obj_mats, w, gamma=gamma, seed=seed)
     rows = []
@@ -335,12 +339,7 @@ def table13_learned_weights(spark, *, n=8000, nq=300, epochs=20, seed=0) -> list
     ]
     rows = []
     for name, builder, combo in cases:
-        ds = builder(combo, n=n, nq=nq)
-        tr, _ = split_queries(ds)
-        res = learn_weights(
-            spark, [m[tr] for m in ds.qry_mats], ds.obj_mats, ds.gt[tr],
-            epochs=epochs, seed=seed,
-        )
+        res = _learn_on_train_half(spark, builder(combo, n=n, nq=nq), epochs=epochs, seed=seed)
         rows.append(
             {"dataset": name, "encoder": "+".join(combo),
              **{f"w{i}^2": round(float(v), 4) for i, v in enumerate(res.weights)},
@@ -356,11 +355,8 @@ def ablation_graphs(
     """§VIII-G as tables: graph-variant build/search comparison plus the
     multi-vector computation optimization on/off (Fig. 10 shapes)."""
     ds = D.imagetext(n, nq=nq, seed=seed)
-    tr, ev = split_queries(ds)
-    w = learn_weights(
-        spark, [m[tr] for m in ds.qry_mats], ds.obj_mats, ds.gt[tr],
-        epochs=15, seed=seed,
-    ).weights
+    _, ev = split_queries(ds)
+    w = _learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
     gt10, _ = topk_numpy([m[ev] for m in ds.qry_mats], ds.obj_mats, w, 10)
     vecs = concat_weighted(ds.obj_mats, w)
     rows = []
@@ -389,3 +385,61 @@ def ablation_graphs(
                      / max(out.stats["n_dots"] + out.stats["n_dots_saved"], 1), 1)}
             )
     return rows
+
+
+@dataclass(frozen=True)
+class Table:
+    """A registry entry: ``fn(spark, **args)`` is the table at full
+    scale, ``fn(spark, **args, **bench)`` at benchmark scale."""
+
+    title: str
+    fn: Callable[..., list[dict]]
+    bench: dict
+    args: dict = field(default_factory=dict)
+
+
+# Benchmark scale (SF~0.1-equivalent). MS-COCO reports Recall@10/50/100
+# (paper Tab. VI), so it searches with a larger l and l_cand.
+BENCH_CFG = EvalConfig(ks=(1, 5, 10), l=128, l_cand=100, gamma=16, eps=3, epochs=10)
+BENCH_COCO_CFG = replace(BENCH_CFG, ks=(10, 50, 100), l=256, l_cand=200)
+_BENCH_ACCURACY = {"n": 6000, "nq": 240, "cfg": BENCH_CFG}
+
+# Every table once, keyed by the name of its ``results/bench_<name>.json``.
+TABLES: dict[str, Table] = {
+    "table3": Table("Table III: accuracy on MIT-States (lite)", table3_mitstates, _BENCH_ACCURACY),
+    "table4": Table("Table IV: accuracy on CelebA (lite)", table4_celeba, _BENCH_ACCURACY),
+    "table5": Table(
+        "Table V: accuracy on Shopping T-shirt (lite)", table5_shopping, _BENCH_ACCURACY),
+    "table5_bottoms": Table(
+        "Table XXI: accuracy on Shopping Bottoms, weights learned on T-shirt",
+        table5_shopping, _BENCH_ACCURACY, {"category": "bottoms"},
+    ),
+    "table6": Table(
+        "Table VI: accuracy on MS-COCO (lite)", table6_mscoco,
+        {"n": 6000, "nq": 240, "cfg": BENCH_COCO_CFG},
+    ),
+    "table7": Table(
+        "Table VII: response time vs data volume", table7_scale,
+        {"scales": (5_000, 10_000, 20_000, 40_000, 80_000), "nq": 200, "gamma": 20},
+    ),
+    "table8": Table("Table VIII: recall vs #modalities", table8_modalities, _BENCH_ACCURACY),
+    "table9": Table("Table IX: user-defined weights", table9_user_weights, _BENCH_ACCURACY),
+    "table10": Table(
+        "Tables X/XIX/XX: single query modality", table10_single_modality, _BENCH_ACCURACY),
+    "table11": Table(
+        "Table XI: graph quality vs iterations", table11_graph_quality,
+        {"n": 10_000, "gamma": 20},
+    ),
+    "table12": Table(
+        "Table XII + Fig. 6: l sweep, MUST vs MR", table12_l_sweep,
+        {"n": 10_000, "nq": 240, "gamma": 20},
+    ),
+    "table13": Table(
+        "Tables XIII-XVIII: learned weights", table13_learned_weights,
+        {"n": 6000, "nq": 240, "epochs": 15},
+    ),
+    "ablation_graphs": Table(
+        "Fig. 10 ablation: graph variants + multi-vector optimization", ablation_graphs,
+        {"n": 10_000, "nq": 240, "gamma": 20},
+    ),
+}

@@ -1,10 +1,11 @@
-"""Tests for the MR and JE baselines (repro.baselines)."""
+"""Tests for the MR baseline (repro.baselines) and JE, which is MUST over
+the target modality alone, weight 1."""
 import numpy as np
 import pytest
 
 from repro.ann.bruteforce import topk_numpy
-from repro.baselines.je import fit_je
 from repro.baselines.mr import fit_mr
+from repro.core.must import fit_must
 from repro.datasets import mitstates_lite
 from repro.eval.metrics import recall_at_k
 
@@ -74,15 +75,15 @@ def test_mr_build_has_one_index_per_modality(spark, ds):
 
 
 def test_je_equals_single_modality_topk(spark, ds):
-    je = fit_je(spark, ds.obj_mats[0], brute=True)
+    je = fit_must(spark, [ds.obj_mats[0]], weights=[1.0], brute=True)
     out = je.search([ds.qry_mats[0]], k=5, l=5)
     exact, _ = topk_numpy([ds.qry_mats[0]], [ds.obj_mats[0]], [1.0], 5)
     np.testing.assert_array_equal(out.ids, exact)
 
 
 def test_je_graph_close_to_brute(spark, ds):
-    je_b = fit_je(spark, ds.obj_mats[0], brute=True)
-    je_g = fit_je(spark, ds.obj_mats[0], gamma=10, eps=3)
+    je_b = fit_must(spark, [ds.obj_mats[0]], weights=[1.0], brute=True)
+    je_g = fit_must(spark, [ds.obj_mats[0]], weights=[1.0], gamma=10, eps=3)
     exact = je_b.search([ds.qry_mats[0]], k=10, l=10).ids
     got = je_g.search([ds.qry_mats[0]], k=10, l=150).ids
     assert recall_at_k(got, exact, 10) > 0.9
@@ -91,8 +92,6 @@ def test_je_graph_close_to_brute(spark, ds):
 def test_mr_worse_than_joint_on_mitstates(spark, ds):
     """The paper's core claim at micro-scale: intersection merging loses
     to joint weighted search."""
-    from repro.core.must import fit_must
-
     mr = fit_mr(spark, ds.obj_mats, brute=True)
     mr_out = mr.search(list(ds.qry_mats), k=10, l_cand=50)
     must = fit_must(spark, ds.obj_mats, weights=[0.3, 0.7], brute=True)

@@ -22,7 +22,6 @@ def test_builder_shapes(name):
         assert o.shape[0] == 300 and q.shape[0] == 30
         assert o.shape[1] == q.shape[1]
     assert ds.gt.shape == (30,)
-    assert ds.dims == tuple(m.shape[1] for m in ds.obj_mats)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

@@ -1,6 +1,8 @@
 """Tests for the fused index wrapper (repro.core.fused_index)."""
 import numpy as np
 import pytest
+from pyspark import SparkContext
+from pyspark.sql import SparkSession
 
 from repro.ann.distance import concat_weighted
 from repro.core.fused_index import build_fused_index
@@ -54,3 +56,23 @@ def test_variants_buildable(spark, ds, variant):
         spark, ds.obj_mats, [0.5, 0.5], gamma=8, eps=1, variant=variant
     )
     assert idx.graph.meta["variant"] == variant
+
+
+def test_build_does_not_depend_on_partition_count(spark, ds, monkeypatch):
+    """The same adjacency and seed vertex whether ``spark_map`` splits the
+    ids into 1, 2, 3 or ``defaultParallelism`` partitions."""
+    ref = build_fused_index(spark, ds.obj_mats, [0.5, 0.5], gamma=8, eps=2)
+    real_range = SparkSession.range
+    for parts in (1, 2, 3):
+        seen = []
+
+        def spy_range(self, *args, **kwargs):
+            seen.append(args[3])  # range(start, end, step, numPartitions)
+            return real_range(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparkContext, "defaultParallelism", property(lambda sc, p=parts: p))
+        monkeypatch.setattr(SparkSession, "range", spy_range)
+        idx = build_fused_index(spark, ds.obj_mats, [0.5, 0.5], gamma=8, eps=2)
+        assert set(seen) == {parts}
+        np.testing.assert_array_equal(idx.graph.nbrs, ref.graph.nbrs)
+        assert idx.graph.seed_vertex == ref.graph.seed_vertex

@@ -1,6 +1,8 @@
 """Tests for graph assembly (repro.ann.graphs)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ann.distance import normalize
 from repro.ann.graphs import (
@@ -50,6 +52,44 @@ def test_ensure_connectivity_noop_when_connected():
     v = vecs(3)
     out = ensure_connectivity(nbrs, 0, v)
     np.testing.assert_array_equal(out, nbrs)
+
+
+@st.composite
+def padded_graphs(draw):
+    """``(nbrs, seed_vertex, vecs)``: -1-padded adjacency over 1-4 vertex
+    groups with no edges between groups; a group may be a directed ring
+    (strongly connected) plus random edges, so the graph is sometimes
+    connected from the seed and sometimes not."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 5))
+    group = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    ring = draw(st.booleans())
+    nbrs = np.full((n, width), -1, np.int32)
+    for g in np.unique(group):
+        members = np.flatnonzero(group == g)
+        for pos, v in enumerate(members):
+            row = [int(members[(pos + 1) % len(members)])] if ring else []
+            row += draw(st.lists(st.sampled_from(members.tolist()), max_size=width - len(row)))
+            nbrs[v, : len(row)] = row
+    seed_vertex = draw(st.integers(0, n - 1))
+    vecs = normalize(np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, 4)))
+    return nbrs, seed_vertex, vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_graphs())
+def test_ensure_connectivity_properties(graph):
+    """Component ⑤ on any padded adjacency: every vertex is reachable from
+    the seed, every row keeps its edges as a prefix, and a graph already
+    connected from the seed comes back unchanged."""
+    nbrs, seed_vertex, v = graph
+    out = ensure_connectivity(nbrs.copy(), seed_vertex, v)
+    assert reachable_from(out, seed_vertex) == set(range(len(nbrs)))
+    for row, new in zip(nbrs, out):
+        kept = row[row >= 0]
+        np.testing.assert_array_equal(new[: len(kept)], kept)
+    if reachable_from(nbrs, seed_vertex) == set(range(len(nbrs))):
+        np.testing.assert_array_equal(out, nbrs)
 
 
 def test_ensure_connectivity_bridge_is_nearest_visited():

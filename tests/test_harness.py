@@ -50,7 +50,7 @@ def test_evaluate_unknown_framework(spark, ds):
 
 def test_format_table():
     rows = [{"a": 1, "b": "x"}, {"a": 2}]
-    out = format_table(rows, ["a", "b"])
+    out = format_table(rows)
     lines = out.splitlines()
     assert len(lines) == 4
     assert "a" in lines[0] and "b" in lines[0]

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.eval.metrics import qps, recall_at_k, sme
+from repro.core.joint_search import SearchOutput
+from repro.eval.metrics import recall_at_k, sme
 
 
 def test_recall_perfect():
@@ -73,5 +74,8 @@ def test_sme_mean_over_queries():
 
 
 def test_qps():
+    def qps(nq, elapsed_s):
+        return SearchOutput(np.zeros((nq, 1)), np.zeros((nq, 1)), elapsed_s, {}).qps
+
     assert qps(100, 2.0) == pytest.approx(50.0)
     assert qps(1, 0.0) > 0  # guards divide-by-zero

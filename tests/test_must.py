@@ -161,13 +161,17 @@ def _bad_build_inputs():
 def test_fit_rejects_bad_build_inputs(spark, no_spark_job, case, brute):
     """Negative or non-finite weights, m mismatches, ragged modalities and
     object rows longer than 1 (Lemma 4 bounds IPs on both sides) raise
-    ``ValueError`` before any Spark job, for the index and for MUST--."""
+    ``ValueError`` before any Spark job, for the index and for MUST--, and
+    the object cases for graph MR and MR--."""
     obj, w, match = _bad_build_inputs()[case]
     with pytest.raises(ValueError, match=match):
         fit_must(spark, obj, weights=w, brute=brute, gamma=6, eps=2)
     if not brute:
         with pytest.raises(ValueError, match=match):
             build_fused_index(spark, obj, w, gamma=6, eps=2)
+    if match != "weights":  # MR takes no weights
+        with pytest.raises(ValueError, match=match):
+            fit_mr(spark, obj, brute=brute, gamma=6, eps=2)
 
 
 def test_fit_checks_objects_before_learning_weights(spark, no_spark_job):

@@ -1,5 +1,8 @@
 """Structural tests for the table runners (repro.eval.tables) at tiny
-scale — every paper table's code path executes end to end."""
+scale — every paper table's code path executes end to end — and for the
+registry the job runner and the benchmark read."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -107,3 +110,26 @@ def test_ablation_graphs_rows(spark):
     assert {r["optimize"] for r in ours} == {True, False}
     opt_on = next(r for r in ours if r["optimize"])
     assert opt_on["dots_saved_pct"] >= 0
+
+
+def test_every_table_function_is_registered():
+    """Every public table function has a ``TABLES`` entry, and each
+    entry's arguments are parameters of its function (no Spark)."""
+    public = {
+        name for name, fn in inspect.getmembers(T, inspect.isfunction)
+        if fn.__module__ == T.__name__ and name.startswith(("table", "ablation_"))
+    }
+    assert public == {t.fn.__name__ for t in T.TABLES.values()}
+    for t in T.TABLES.values():
+        inspect.signature(t.fn).bind(None, **t.args, **t.bench)
+
+
+def test_every_registry_name_is_rendered(monkeypatch):
+    """``jobs/render_experiments.py`` loads exactly the
+    ``results/bench_<name>.json`` files the registry names (no Spark)."""
+    from jobs import render_experiments
+
+    loaded = []
+    monkeypatch.setattr(render_experiments, "load", loaded.append)
+    render_experiments.main()
+    assert sorted(loaded) == sorted(f"bench_{name}" for name in T.TABLES)
