@@ -22,6 +22,8 @@ from pyspark.sql import functions as F
 
 from repro import spark_map
 from repro.ann.distance import joint_ip_col, joint_ip_matrix, topk_from_scores
+from repro.core.fused_index import check_objects
+from repro.core.joint_search import query_weights
 
 
 def topk_numpy(
@@ -50,14 +52,14 @@ def topk_scan(
     each partition runs :func:`topk_numpy` on its query slice. Absent
     query modalities (``None``) contribute zero.
 
-    Output schema: ``qid, oid, rank (1-based), ip_joint, compute_s``.
-    The scan's broadcasts live until the DataFrame is passed to
-    :func:`repro.spark_map.release` (see that module).
+    The inputs must meet :func:`~repro.core.joint_search.query_weights`
+    and :func:`~repro.core.fused_index.check_objects` (``ValueError``
+    before any job). Output schema: ``qid, oid, rank (1-based),
+    ip_joint, compute_s``. The scan's broadcasts live until the DataFrame
+    is passed to :func:`repro.spark_map.release` (see that module).
     """
-    given = [a for a in qry_mats if a is not None]
-    if not given:
-        raise ValueError("every query modality is None; at least one must be given")
-    weights = [float(w) for w in weights]
+    weights, nq = query_weights(qry_mats, weights, obj_mats)
+    check_objects(obj_mats)
 
     def score(qids: np.ndarray, q_mats_l, o_mats_l) -> pd.DataFrame:
         t0 = time.perf_counter()
@@ -77,7 +79,7 @@ def topk_scan(
         return out
 
     return spark_map.lazy(
-        spark, given[0].shape[0], score,
+        spark, nq, score,
         "qid long, oid long, rank int, ip_joint double, compute_s double",
         [None if a is None else np.asarray(a, dtype=np.float32) for a in qry_mats],
         [np.asarray(a, dtype=np.float32) for a in obj_mats],
@@ -89,20 +91,17 @@ def topk_sql(
     objects_df: DataFrame,
     weights: Sequence[float],
     k: int,
-    *,
-    q_cols: Sequence[str] | None = None,
-    v_cols: Sequence[str] | None = None,
 ) -> DataFrame:
-    """Pure-Catalyst exact top-k (cross join + window rank).
+    """Pure-Catalyst exact top-k (cross join + window rank) over the
+    columns ``q0..q{m-1}`` and ``v0..v{m-1}``.
 
     Quadratic — only for oracle-checked tests at small n. Ties broken by
     ``oid`` ascending, matching :func:`~repro.ann.distance.topk_from_scores`.
     """
     m = len(weights)
-    q_cols = list(q_cols or [f"q{i}" for i in range(m)])
-    v_cols = list(v_cols or [f"v{i}" for i in range(m)])
     joined = queries_df.crossJoin(objects_df).withColumn(
-        "ip_joint", joint_ip_col(q_cols, v_cols, weights)
+        "ip_joint",
+        joint_ip_col([f"q{i}" for i in range(m)], [f"v{i}" for i in range(m)], weights),
     )
     w = Window.partitionBy("qid").orderBy(F.desc("ip_joint"), F.asc("id"))
     return (

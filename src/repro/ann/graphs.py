@@ -125,7 +125,7 @@ def build_graph(
             nbrs = select_neighbors(
                 spark,
                 vecs_b,
-                knn,
+                (knn,),
                 gamma,
                 strategy=cfg["strategy"],
                 alpha=cfg.get("alpha", 1.2),

@@ -2,11 +2,13 @@
 
 Each iteration is one distributed pass: the vertex ids are a DataFrame
 partitioned across the cluster, and each worker refines its vertices'
-neighbor lists against the *previous* iteration's lists (a broadcast
-int32 matrix) plus the broadcast concatenated-vector matrix. The
-per-vertex update is exactly the paper's rule — merge neighbors and
-neighbors-of-neighbors, keep the ``gamma`` with the highest joint IP —
-evaluated as one vectorized matmul per vertex.
+neighbor lists against the *previous* iteration's lists and their
+reverse lists (broadcast int32 matrices) plus the broadcast
+concatenated-vector matrix. The per-vertex update is exactly the
+paper's rule — merge neighbors and neighbors-of-neighbors, keep the
+``gamma`` with the highest joint IP — which is candidate acquisition
+over the lists ``(N, R)`` followed by the ``none`` selection rule, so a
+sweep is :func:`repro.ann.pruning.select_neighbors` on those lists.
 
 Synchronous-iteration note: the paper's sequential loop sees updates
 from earlier vertices within the same sweep; our Spark version is
@@ -18,10 +20,9 @@ Table XI reproduction).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro import spark_map
+from repro.ann.pruning import select_neighbors
 
 
 def init_random(n: int, gamma: int, seed: int = 0) -> np.ndarray:
@@ -60,29 +61,7 @@ def nndescent_pass(
     keep = pos_in_group < gamma
     rev[d_sorted[keep], pos_in_group[keep]] = s_sorted[keep]
 
-    def refine(ids: np.ndarray, vecs, prev, prev_rev) -> pd.DataFrame:
-        out_nbrs = []
-        for o in ids:
-            base = np.concatenate([prev[o], prev_rev[o]])
-            base = base[base >= 0]
-            cand = np.unique(
-                np.concatenate([base, prev[base].ravel(), prev_rev[base].ravel()])
-            )
-            cand = cand[(cand != o) & (cand >= 0)]
-            ips = vecs[cand] @ vecs[o]
-            if len(cand) > gamma:
-                keep = np.argpartition(-ips, gamma - 1)[:gamma]
-                order = np.argsort(-ips[keep], kind="stable")
-                cand = cand[keep][order]
-            else:
-                cand = cand[np.argsort(-ips, kind="stable")]
-            out_nbrs.append(cand.astype(np.int32))
-        return pd.DataFrame({"id": ids, "nbrs": out_nbrs})
-
-    result = spark_map.collect(
-        spark, n, refine, "id long, nbrs array<int>", vecs_b, nbrs, rev
-    )
-    return spark_map.scatter_rows(result, n, gamma)
+    return select_neighbors(spark, vecs_b, (nbrs, rev), gamma, strategy="none")
 
 
 def build_knn_graph(

@@ -1,8 +1,13 @@
-"""Candidate acquisition + neighbor selection (paper Algorithm 1, ②③).
+"""Candidate acquisition + neighbor selection (paper Algorithm 1, ①-③).
 
-One distributed pass over vertices: each worker receives the broadcast
-kNN graph from ①, forms the candidate set ``C(o) = N(o) ∪ N(N(o))``
-(component ②) and applies a pluggable selection strategy (component ③):
+One distributed pass over vertices: each worker receives broadcast
+adjacency lists ``L_1..L_t``, forms the candidate set ``C(o)``, the
+union of ``L_i(o)`` and ``L_j(L_i(o))`` over all pairs of lists
+(component ②), and applies a pluggable selection strategy (component
+③). Neighbor selection passes the kNN graph of ① alone, so ``C(o) =
+N(o) ∪ N(N(o))``; each NNDescent sweep of ① is the same pass over the
+lists ``(N, R)`` (``R``: reverse neighbors) under ``none``. The
+strategies:
 
 * ``mrng``  — the paper's choice (MRNG [25], Lemma 2): keep ``v`` only if
   it is closer to ``o`` than to every already-kept neighbor,
@@ -10,23 +15,28 @@ kNN graph from ①, forms the candidate set ``C(o) = N(o) ∪ N(N(o))``
 * ``alpha`` — Vamana-style relaxed pruning: reject ``v`` when some kept
   ``u`` has ``alpha * d(u,v) <= d(o,v)`` (alpha > 1 keeps more edges).
 * ``angle`` — NSSG-style: reject ``v`` when the angle ``∠(v,o,u)`` with
-  some kept ``u`` is below a threshold (default 60 degrees).
-* ``none``  — KGraph: keep the raw top-gamma kNN list.
+  some kept ``u`` is below ``ANGLE_DEG`` (60 degrees).
+* ``none``  — KGraph: keep the ``gamma`` nearest candidates.
 
 These strategies are what the §VIII-G graph ablation re-assembles.
 
-**Occlusion scan.** All four rules are greedy: candidates are visited in
-descending ``IP(o, v)`` order (stable, so equal IPs keep id order) and
-``v`` is kept iff no neighbor kept before it rejects it. Rather than
-testing each candidate against the kept set, :func:`_occlusion_scan`
-gathers ``V = vecs[C]`` once and loops over *kept* neighbors only (at
-most gamma steps): each step keeps the first candidate not yet occluded,
-scores it against every later candidate with one matvec, and ORs the
-strategy's rejection test into a boolean occlusion mask. This is exact:
-the kept set only grows, a candidate's verdict depends only on the
-neighbors kept before it, and a candidate is occluded after step ``j``
-iff one of the first ``j`` kept neighbors rejects it — the same
-candidates the per-candidate loop would have skipped.
+``none`` partitions the candidates' IPs at ``gamma`` (``argpartition``)
+and sorts the ``gamma`` largest descending (stable): NNDescent's update,
+so each sweep of ① keeps the ``gamma`` nearest of its candidates.
+
+**Occlusion scan.** The other three rules are greedy: candidates are
+visited in descending ``IP(o, v)`` order (stable, so equal IPs keep id
+order) and ``v`` is kept iff no neighbor kept before it rejects it.
+Rather than testing each candidate against the kept set,
+:func:`_occlusion_scan` gathers ``V = vecs[C]`` once and loops over
+*kept* neighbors only (at most gamma steps): each step keeps the first
+candidate not yet occluded, scores it against every later candidate
+with one matvec, and ORs the strategy's rejection test into a boolean
+occlusion mask. This is exact: the kept set only grows, a candidate's
+verdict depends only on the neighbors kept before it, and a candidate
+is occluded after step ``j`` iff one of the first ``j`` kept neighbors
+rejects it — the same candidates the per-candidate loop would have
+skipped.
 
 The comparisons are the per-candidate loop's, in the same precision, but
 two operands come from different BLAS calls: ``IP(o,v)`` is the value
@@ -48,6 +58,8 @@ from pyspark.sql import SparkSession
 from repro import spark_map
 
 STRATEGIES = ("mrng", "alpha", "angle", "none")
+ANGLE_DEG = 60.0
+_COS_THRESH = float(np.cos(np.deg2rad(ANGLE_DEG)))
 
 
 def _occlusion_scan(
@@ -57,18 +69,22 @@ def _occlusion_scan(
     gamma: int,
     strategy: str,
     alpha: float,
-    cos_thresh: float,
 ) -> np.ndarray:
     """One vertex's kept neighbors, in admission order; ``cand`` is the
     deduplicated candidate set (any order, without ``o``)."""
     vo = vecs[o]
     V = vecs[cand]
     ips = V @ vo
-    order = np.argsort(-ips, kind="stable")
-    cand = cand[order]
     if strategy == "none":
-        return cand[:gamma].astype(np.int32)
-    V, ips = V[order], ips[order]
+        if len(cand) > gamma:
+            keep = np.argpartition(-ips, gamma - 1)[:gamma]
+            order = np.argsort(-ips[keep], kind="stable")
+            cand = cand[keep][order]
+        else:
+            cand = cand[np.argsort(-ips, kind="stable")]
+        return cand.astype(np.int32)
+    order = np.argsort(-ips, kind="stable")
+    cand, V, ips = cand[order], V[order], ips[order]
     if strategy == "alpha":
         # distances on normalized vectors: d^2 = 2 - 2*IP. d(o,v) is formed
         # in float64 and compared in float32, as a Python scalar would be.
@@ -98,59 +114,60 @@ def _occlusion_scan(
             ok = aa * d_uv > d_ov[j:]
         else:  # angle
             denom = np.maximum(nv[j:] * nu[j - 1], 1e-12)
-            ok = (E[j:] @ E[j - 1]) / denom < cos_thresh
+            ok = (E[j:] @ E[j - 1]) / denom < _COS_THRESH
         occluded[j:] |= ~ok
     return cand[kept].astype(np.int32)
 
 
 def select_rows(
     vecs: np.ndarray,
-    knn: np.ndarray,
+    lists: tuple[np.ndarray, ...],
     ids,
     gamma: int,
     *,
     strategy: str = "mrng",
     alpha: float = 1.2,
-    angle_deg: float = 60.0,
 ) -> list[np.ndarray]:
-    """Components ②③ for the vertices ``ids`` on one machine: each
-    vertex's kept neighbors (int32, admission order)."""
-    cos_thresh = float(np.cos(np.deg2rad(angle_deg)))
+    """Candidate acquisition (②) and selection (③) for the vertices
+    ``ids`` on one machine: each vertex's kept neighbors (int32,
+    admission order). ``lists`` are the ``-1``-padded adjacency matrices
+    whose two-hop union forms ``C(o)``."""
     rows = []
     for o in ids:
-        direct = knn[o]
+        direct = np.concatenate([adj[o] for adj in lists])
         direct = direct[direct >= 0]
-        cand = np.unique(np.concatenate([direct, knn[direct].ravel()]))
+        two_hop = [adj[direct].ravel() for adj in lists]
+        cand = np.unique(np.concatenate([direct, *two_hop]))
         cand = cand[(cand != o) & (cand >= 0)]
-        rows.append(_occlusion_scan(o, cand, vecs, gamma, strategy, alpha, cos_thresh))
+        rows.append(_occlusion_scan(o, cand, vecs, gamma, strategy, alpha))
     return rows
 
 
 def select_neighbors(
     spark: SparkSession,
     vecs_b,
-    knn: np.ndarray,
+    lists: tuple[np.ndarray, ...],
     gamma: int,
     *,
     strategy: str = "mrng",
     alpha: float = 1.2,
-    angle_deg: float = 60.0,
 ) -> np.ndarray:
     """Components ②③ as one distributed pass; returns padded (n, gamma).
 
-    ``vecs_b`` is a broadcast of the (n, D) concat matrix; ``knn`` is the
-    component-① graph (broadcast here).
+    ``vecs_b`` is a broadcast of the (n, D) concat matrix; ``lists`` are
+    the adjacency matrices of :func:`select_rows` (each broadcast here):
+    ``(knn,)`` to prune the component-① graph, ``(N, R)`` for a sweep of
+    ① itself.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
 
-    def prune(ids: np.ndarray, vecs, base) -> pd.DataFrame:
-        nbrs = select_rows(
-            vecs, base, ids, gamma,
-            strategy=strategy, alpha=alpha, angle_deg=angle_deg,
-        )
+    def prune(ids: np.ndarray, vecs, *adj) -> pd.DataFrame:
+        nbrs = select_rows(vecs, adj, ids, gamma, strategy=strategy, alpha=alpha)
         return pd.DataFrame({"id": ids, "nbrs": nbrs})
 
-    n = knn.shape[0]
-    result = spark_map.collect(spark, n, prune, "id long, nbrs array<int>", vecs_b, knn)
+    n = lists[0].shape[0]
+    result = spark_map.collect(
+        spark, n, prune, "id long, nbrs array<int>", vecs_b, *lists
+    )
     return spark_map.scatter_rows(result, n, gamma)

@@ -40,9 +40,10 @@ class EvalConfig:
     seed: int = 0
 
 
-def split_queries(ds: MSTMDataset, train_frac: float = 0.5):
-    """Deterministic train/eval split of the query ids."""
-    n_train = int(ds.nq * train_frac)
+def split_queries(ds: MSTMDataset):
+    """Deterministic train/eval split of the query ids: the first half
+    trains."""
+    n_train = ds.nq // 2
     return np.arange(n_train), np.arange(n_train, ds.nq)
 
 
@@ -89,22 +90,23 @@ def evaluate(
         )
         out = model.search(eval_q, k=k, l=cfg.l, seed=cfg.seed)
         row["weights"] = [round(float(w), 4) for w in model.weights]
-        row["build_s"] = model.index.build_seconds if model.index else 0.0
+        build_s = model.index.build_seconds if model.index else 0.0
     elif framework in ("mr", "mr--"):
         model = fit_mr(
             spark, ds.obj_mats, brute=framework == "mr--",
             gamma=cfg.gamma, eps=cfg.eps, seed=cfg.seed,
         )
         out = model.search(eval_q, k=k, l_cand=cfg.l_cand, seed=cfg.seed)
-        row["build_s"] = model.build_seconds
+        build_s = model.build_seconds
     else:  # je / je--: MUST over the target modality alone, weight 1
         model = fit_must(
             spark, [ds.obj_mats[0]], weights=[1.0], brute=framework == "je--",
             gamma=cfg.gamma, eps=cfg.eps, seed=cfg.seed,
         )
         out = model.search([eval_q[0]], k=k, l=cfg.l, seed=cfg.seed)
-        row["build_s"] = model.index.build_seconds if model.index else 0.0
+        build_s = model.index.build_seconds if model.index else 0.0
 
+    row["build_s"] = round(build_s, 3)
     for kk in cfg.ks:
         row[f"recall@{kk}"] = round(recall_at_k(out.ids, gt_eval, kk), 4)
     row["sme"] = round(sme(out.ids, gt_eval, ds.obj_mats[0]), 4)

@@ -19,6 +19,7 @@ from repro.core.fused_index import FusedIndex
 from repro.core.joint_search import joint_search
 from repro.core.must import Must
 from repro.core.weights import learn_weights
+from repro.eval import tables
 
 pytestmark = pytest.mark.filterwarnings("ignore:toPandas attempted Arrow optimization:UserWarning")
 
@@ -64,7 +65,7 @@ def test_select_neighbors_releases_on_failure(spark, vecs, created):
     created.clear()
     try:
         with pytest.raises(PythonException):
-            select_neighbors(spark, vecs_b, bad_graph(), 4)
+            select_neighbors(spark, vecs_b, (bad_graph(),), 4)
         assert_all_destroyed(created, 1)  # knn
     finally:
         vecs_b.destroy()
@@ -92,6 +93,16 @@ def test_build_knn_graph_releases_its_vectors_on_failure(spark, vecs, created, m
     assert_all_destroyed(created, 1)  # its own vector broadcast
 
 
+def test_table11_releases_its_vectors_on_failure(spark, created, monkeypatch):
+    def failing_collect(*args):
+        raise RuntimeError("pass failed")
+
+    monkeypatch.setattr(spark_map, "collect", failing_collect)
+    with pytest.raises(RuntimeError):
+        tables.table11_graph_quality(spark, n=N, gamma=4)
+    assert_all_destroyed(created, 1)  # the dataset's vectors
+
+
 def test_joint_search_releases_on_failure(spark, vecs, created):
     index = FusedIndex(
         graph=GraphIndex(nbrs=bad_graph(), seed_vertex=0), weights=np.array([0.5, 0.5])
@@ -105,7 +116,7 @@ def test_joint_search_releases_on_failure(spark, vecs, created):
 def test_passes_release_on_success(spark, vecs, created):
     knn = build_knn_graph(spark, vecs, gamma=4, eps=1)
     vecs_b = spark.sparkContext.broadcast(vecs)
-    select_neighbors(spark, vecs_b, knn, 4)
+    select_neighbors(spark, vecs_b, (knn,), 4)
     vecs_b.destroy()
     assert_all_destroyed(created, 5)  # vectors, nbrs, reverse nbrs, vectors, knn
 

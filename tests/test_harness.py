@@ -28,6 +28,7 @@ def test_evaluate_all_frameworks(spark, ds, fw):
     assert 0.0 <= row["sme"] <= 2.0
     assert row["qps"] > 0
     assert row["nq_eval"] == 20
+    assert row["build_s"] == round(row["build_s"], 3)  # fits format_table's columns
     if fw in ("must", "must--"):
         assert len(row["weights"]) == ds.m
 

@@ -15,6 +15,21 @@ def test_one_distributed_map_module():
     assert users == ["repro/spark_map.py"]
 
 
+def test_one_per_vertex_kernel():
+    """Algorithm 1's passes (① NNDescent, ②③ selection) share
+    ``repro.ann.pruning``'s kernel; the distributed map runs from the
+    per-vertex, per-query and exact-scan modules only."""
+    import re
+
+    for name, text in sources().items():
+        assert "def refine(" not in text, f"{name} defines a second per-vertex kernel"
+    callers = sorted(
+        name for name, text in sources().items()
+        if re.search(r"spark_map\.(collect|lazy)\(", text))
+    assert callers == [
+        "repro/ann/bruteforce.py", "repro/ann/pruning.py", "repro/core/joint_search.py"]
+
+
 def test_one_search_kernel():
     for name, text in sources().items():
         for kernel in ("def beam_search(", "def _score_candidates("):

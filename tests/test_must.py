@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from repro import spark_map
-from repro.ann.bruteforce import topk_numpy
+from repro.ann.bruteforce import topk_numpy, topk_scan
 from repro.ann.distance import normalize
 from repro.baselines.mr import fit_mr
 from repro.core.fused_index import build_fused_index
 from repro.core.must import fit_must
+from repro.core.weights import learn_weights
 from repro.datasets import mitstates_lite
 from repro.eval.metrics import recall_at_k
 
@@ -180,6 +181,33 @@ def test_fit_checks_objects_before_learning_weights(spark, no_spark_job):
     qry = [normalize(g.standard_normal((5, 6))), normalize(g.standard_normal((5, 4)))]
     with pytest.raises(ValueError, match="object modality 1"):
         fit_must(spark, obj, train_qry_mats=qry, train_positives=np.arange(5), brute=True)
+
+
+@pytest.mark.parametrize(
+    "case", ["query columns", "query rows", "negative weight", "object norm > 1"])
+def test_scan_rejects_bad_inputs(spark, no_spark_job, case):
+    """``topk_scan`` is also called directly, by weight learning's mining
+    scan and the benchmark's DuckDB check: a query/object shape mismatch,
+    a bad weight or an object row longer than 1 raises ``ValueError``
+    before any job, not as a worker exception; a bad anchor batch in
+    ``learn_weights`` too."""
+    g = np.random.default_rng(8)
+    obj = [normalize(g.standard_normal((20, 6))), normalize(g.standard_normal((20, 4)))]
+    q0, q1 = [m[:5] for m in obj]
+    long_row = [obj[0], obj[1].copy()]
+    long_row[1][7] *= 1.01
+    qry, obj, w, match = {
+        "query columns": ([q0, np.pad(q1, ((0, 0), (0, 1)))], obj, [0.5, 0.5],
+                          "query modality 1 has shape"),
+        "query rows": ([q0, q1[:3]], obj, [0.5, 0.5], "query modality 1 has shape"),
+        "negative weight": ([q0, q1], obj, [-0.5, 1.0], "weights"),
+        "object norm > 1": ([q0, q1], long_row, [0.5, 0.5], "object modality 1, row 7"),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        topk_scan(spark, qry, obj, w, 3)
+    if case.startswith("query"):
+        with pytest.raises(ValueError, match=match):
+            learn_weights(spark, qry, obj, np.arange(5), epochs=1)
 
 
 def test_zero_object_rows_pass_the_build_contract(spark):

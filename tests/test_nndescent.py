@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 
-from repro.ann.distance import normalize
+from repro.ann.distance import concat_weighted, normalize
 from repro.ann.nndescent import (
     build_knn_graph,
     graph_quality,
     init_random,
     nndescent_pass,
 )
+from tests.reference_nndescent import reference_pass
+from tests.test_pruning import BENCH_DATA
 
 
 def vecs(n=400, d=16, seed=0):
@@ -88,3 +90,37 @@ def test_graph_quality_perfect_for_exact_knn():
     np.fill_diagonal(ips, -np.inf)
     exact = np.argsort(-ips, axis=1)[:, :5].astype(np.int32)
     assert graph_quality(v, exact, sample=100) == pytest.approx(1.0)
+
+
+def assert_sweeps_match_reference(spark, v, gamma, seed, eps=3):
+    """``eps`` sweeps from ``init_random``: each distributed sweep equals
+    the reference kernel's sweep of the same lists."""
+    b = spark.sparkContext.broadcast(v)
+    try:
+        nbrs = init_random(v.shape[0], gamma, seed)
+        for sweep in range(eps):
+            got = nndescent_pass(spark, b, nbrs, gamma)
+            want = reference_pass(v, nbrs, gamma)
+            bad = np.flatnonzero((got != want).any(axis=1))
+            assert not len(bad), f"sweep {sweep}, vertex {bad[0]}: {got[bad[0]]} != {want[bad[0]]}"
+            nbrs = got
+    finally:
+        b.destroy()
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("name", sorted(BENCH_DATA))
+def test_pass_matches_reference(spark, name, seed):
+    """The two benchmark datasets under their fixed user weights, gamma=24."""
+    gen, w = BENCH_DATA[name]
+    assert_sweeps_match_reference(spark, concat_weighted(gen(seed).obj_mats, w), 24, seed)
+
+
+def test_pass_matches_reference_with_exact_ties(spark):
+    """Duplicate vectors give exactly equal IPs, also at the gamma boundary;
+    the selection is the reference's own code, so the rows are equal."""
+    g = np.random.default_rng(3)
+    v = g.standard_normal((400, 12))
+    v[30:60] = v[0:30]  # 30 duplicated pairs
+    v[100:120] = v[100]  # a cluster of 20 identical vectors, wider than gamma
+    assert_sweeps_match_reference(spark, normalize(v), 10, seed=0)

@@ -23,7 +23,7 @@ def setup(spark):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_output_shape_and_validity(setup, strategy):
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 10, strategy=strategy)
+    out = select_neighbors(spark, b, (knn,), 10, strategy=strategy)
     assert out.shape == (250, 10)
     valid = out[out >= 0]
     assert valid.max() < 250
@@ -36,7 +36,7 @@ def test_none_strategy_no_diversification(setup):
     from repro.ann.nndescent import graph_quality
 
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 10, strategy="none")
+    out = select_neighbors(spark, b, (knn,), 10, strategy="none")
     assert graph_quality(v, out, sample=200) >= graph_quality(v, knn, sample=200) - 1e-9
     for o in range(0, 250, 50):
         row = out[o][out[o] >= 0]
@@ -48,7 +48,7 @@ def test_mrng_invariant_holds(setup):
     """Every kept neighbor v satisfies IP(o,v) > IP(u,v) against all
     neighbors u kept before it (the MRNG rule, paper ③ / Lemma 2)."""
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 10, strategy="mrng")
+    out = select_neighbors(spark, b, (knn,), 10, strategy="mrng")
     for o in range(0, 250, 25):
         kept = out[o][out[o] >= 0]
         for j in range(1, len(kept)):
@@ -59,14 +59,14 @@ def test_mrng_invariant_holds(setup):
 
 def test_mrng_prunes_some_edges(setup):
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 10, strategy="mrng")
+    out = select_neighbors(spark, b, (knn,), 10, strategy="mrng")
     assert (out >= 0).sum() < (knn >= 0).sum()
 
 
 def test_alpha_larger_keeps_more_edges(setup):
     spark, v, knn, b = setup
-    tight = select_neighbors(spark, b, knn, 10, strategy="alpha", alpha=1.0)
-    loose = select_neighbors(spark, b, knn, 10, strategy="alpha", alpha=1.6)
+    tight = select_neighbors(spark, b, (knn,), 10, strategy="alpha", alpha=1.0)
+    loose = select_neighbors(spark, b, (knn,), 10, strategy="alpha", alpha=1.6)
     assert (loose >= 0).sum() >= (tight >= 0).sum()
 
 
@@ -74,7 +74,7 @@ def test_angle_invariant_holds(setup):
     """Kept neighbors are pairwise separated by >= the angle threshold
     w.r.t. the order they were admitted."""
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 8, strategy="angle", angle_deg=60.0)
+    out = select_neighbors(spark, b, (knn,), 8, strategy="angle")
     cos60 = np.cos(np.deg2rad(60.0))
     for o in range(0, 250, 25):
         kept = out[o][out[o] >= 0]
@@ -88,7 +88,7 @@ def test_angle_invariant_holds(setup):
 
 def test_first_neighbor_is_nearest_candidate(setup):
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 10, strategy="mrng")
+    out = select_neighbors(spark, b, (knn,), 10, strategy="mrng")
     for o in range(0, 250, 50):
         direct = knn[o][knn[o] >= 0]
         cand = np.unique(np.concatenate([direct, knn[direct].ravel()]))
@@ -100,7 +100,7 @@ def test_first_neighbor_is_nearest_candidate(setup):
 def test_invalid_strategy_raises(setup):
     spark, v, knn, b = setup
     with pytest.raises(ValueError):
-        select_neighbors(spark, b, knn, 10, strategy="quantum")
+        select_neighbors(spark, b, (knn,), 10, strategy="quantum")
 
 
 # -- equivalence with the per-candidate reference loop -----------------------
@@ -141,14 +141,14 @@ def test_matches_reference(bench_graph, name, seed, strategy):
     first 500 for the ablation strategies."""
     v, knn = bench_graph(name, seed)
     ids = np.arange(v.shape[0] if strategy == "mrng" else 500)
-    got = select_rows(v, knn, ids, 24, strategy=strategy)
+    got = select_rows(v, (knn,), ids, 24, strategy=strategy)
     assert_rows_equal(got, reference_select(v, knn, ids, 24, strategy=strategy))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_spark_path_matches_reference(setup, strategy):
     spark, v, knn, b = setup
-    out = select_neighbors(spark, b, knn, 10, strategy=strategy)
+    out = select_neighbors(spark, b, (knn,), 10, strategy=strategy)
     want = reference_select(v, knn, range(250), 10, strategy=strategy)
     for o in range(250):
         assert np.array_equal(out[o][out[o] >= 0], want[o]), o
@@ -189,7 +189,7 @@ def test_exact_ties_decided_within_rounding(strategy):
     knn = np.argsort(-ips, axis=1, kind="stable")[:, :10].astype(np.int32)
 
     gamma, ids = 10, np.arange(400)
-    got = select_rows(v, knn, ids, gamma, strategy=strategy)
+    got = select_rows(v, (knn,), ids, gamma, strategy=strategy)
     want = reference_select(v, knn, ids, gamma, strategy=strategy)
     for o in ids:
         a, r = got[o], want[o]

@@ -6,6 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.ann.nndescent import build_knn_graph
 from repro.eval import tables as T
 from repro.eval.harness import EvalConfig
 
@@ -81,6 +82,11 @@ def test_table11_graph_quality_rows(spark):
     for name in ("ImageText", "AudioText", "VideoText"):
         qs = [r["graph_quality"] for r in rows if r["dataset"] == name]
         assert qs[0] <= qs[1] <= qs[2] + 1e-9  # quality grows with eps
+    # one run of three sweeps gives each eps's separate build
+    vecs = T.concat_weighted(T.D.imagetext(400, nq=50, seed=0).obj_mats, [0.5, 0.5])
+    for r in rows[:3]:
+        knn = build_knn_graph(spark, vecs, 8, eps=r["eps"], seed=0)
+        assert r["graph_quality"] == round(T.graph_quality(vecs, knn, seed=0), 4)
 
 
 def test_table12_l_sweep_rows(spark):
