@@ -33,6 +33,7 @@ from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.bruteforce import topk_scan
+from repro.core.fused_index import check_weights
 
 
 @dataclass
@@ -94,7 +95,10 @@ def learn_weights(
     ``positives[j]`` is the true object index of anchor ``j``. Following
     Eq. 5, negatives are mined from the true-object set ``T`` (the unique
     positives) unless ``restrict_to_true_set=False``, in which case the
-    whole corpus is scanned.
+    whole corpus is scanned. ``init`` must meet :func:`check_weights`
+    (``m`` finite values >= 0), ``lr`` must be finite and >= 0 (0 keeps
+    ``init``) and ``temperature`` finite and > 0 (``ValueError`` before
+    any Spark job).
     """
     m = len(obj_mats)
     n = obj_mats[0].shape[0]
@@ -110,6 +114,11 @@ def learn_weights(
         raise ValueError(f"positives must be {nq} integer object ids in [0, {n})")
     if not all(np.isfinite(q).all() for q in qry_mats):
         raise ValueError("anchor vectors must be finite")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    w = np.full(m, 1.0 / m) if init is None else check_weights(init, m).copy()
     rng = np.random.default_rng(seed)
 
     if restrict_to_true_set:
@@ -120,9 +129,6 @@ def learn_weights(
         mine_pos = positives
     n_t = mine_obj[0].shape[0]
 
-    w = np.full(m, 1.0 / m, dtype=np.float64) if init is None else np.asarray(
-        init, dtype=np.float64
-    ).copy()
     history: list[dict] = []
 
     for epoch in range(epochs):

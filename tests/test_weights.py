@@ -227,3 +227,21 @@ def test_anchors_must_be_finite(value):
     qry[1][3, 2] = value
     with pytest.raises(ValueError, match="finite"):
         learn_weights(None, qry, obj, pos, epochs=1)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"init": [np.nan, 1.0]}, "finite and >= 0"),
+    ({"init": [-1.0, 1.0]}, "finite and >= 0"),
+    ({"init": [0.5]}, "expected 2 modality weights"),
+    ({"temperature": 0.0}, "temperature"),
+    ({"temperature": np.nan}, "temperature"),
+    ({"lr": np.inf}, "lr"),
+    ({"lr": -0.5}, "lr"),
+], ids=["init_nan", "init_negative", "init_short", "temperature_zero", "temperature_nan",
+        "lr_inf", "lr_negative"])
+def test_step_settings_are_checked(kwargs, match):
+    """Each of these returned NaN or negative-start weights without an
+    error; random negatives need no Spark job to get that far."""
+    qry, obj, pos = toy_problem()
+    with pytest.raises(ValueError, match=match):
+        learn_weights(None, qry, obj, pos, epochs=2, hard_negatives=False, **kwargs)
