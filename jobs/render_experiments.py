@@ -228,8 +228,10 @@ plus a select linear in n. Not reproduced: on this 5k–80k sweep MUST
 never overtakes brute force. Over three runs of this benchmark, MUST's
 tau was 1.14–1.53x MUST--'s at 20k, 1.93–2.62x at 40k (where l rises to
 200) and 1.22–1.48x at 80k (l = 280); from 10k to 80k MUST--'s tau grew
-5.4–7.3x and MUST's 3.0–4.3x. If that trend holds, the crossover lies
-above 80k. The earlier rows, with MUST ahead from ~15k and 25–50%
+5.4–7.3x and MUST's 3.0–4.3x. One full-scale run (`jobs/run_table.py
+table7`: 10k–160k, gamma 24) finds no crossover either: MUST's tau was
+1.02x MUST--'s at 20k, 1.60x at 40k, 1.05x at 80k and 2.39x at 160k,
+where holding the recall takes l = 560. The earlier rows, with MUST ahead from ~15k and 25–50%
 faster at 20k–80k, compared against a MUST-- that stable-sorted every
 score. The paper's reductions (82.5%→98.4% at 1M–16M) come at 12–200x
 our scales, and our numpy beam-search kernel pays ~6 µs of per-step
