@@ -67,33 +67,20 @@ def topk_from_scores(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     oracle's ``ORDER BY ip DESC, id ASC``. Only the head is sorted:
     ``np.partition`` finds each row's k-th largest score, every score
     >= it survives (so ties across the boundary do too), and the
-    survivors are stable-sorted by -score, in index order. A row with
-    fewer than k non-NaN scores keeps all of them, NaN last, as the full
-    sort does.
+    survivors are stable-sorted by (row, -score), in index order. A row
+    with fewer than k non-NaN scores keeps all of them, NaN last, as the
+    full sort does.
     """
     n = scores.shape[-1]
     k = min(k, n)
-    if k >= n:
-        idx = np.argsort(-scores, axis=-1, kind="stable")
-        return idx, np.take_along_axis(scores, idx, axis=-1)
     neg = -scores.reshape(-1, n)
-    if k < 1 or not len(neg):
-        idx = np.empty((len(neg), max(k, 0)), dtype=np.intp)
-    else:
+    idx = np.empty((len(neg), k), dtype=np.intp)
+    if k:
         kth = np.partition(neg, k - 1, axis=-1)[:, k - 1 : k]
         rows, cols = np.nonzero((neg <= kth) | np.isnan(kth))
-        # pack each row's survivors to the left in index order; the pad
-        # (the largest surviving -score, NaN if any) sits behind them, so
-        # a stable sort leaves it there and keeps ties in index order
+        order = np.lexsort((neg[rows, cols], rows))
         count = np.bincount(rows, minlength=len(neg))
-        pos = np.arange(len(rows)) - (np.cumsum(count) - count)[rows]
-        head = neg[rows, cols]
-        packed = np.full((len(neg), count.max()), head.max(), dtype=neg.dtype)
-        packed[rows, pos] = head
-        ids = np.zeros(packed.shape, dtype=np.intp)
-        ids[rows, pos] = cols
-        order = np.argsort(packed, axis=-1, kind="stable")[:, :k]
-        idx = np.take_along_axis(ids, order, axis=-1)
+        idx = cols[order][(np.cumsum(count) - count)[:, None] + np.arange(k)]
     idx = idx.reshape(scores.shape[:-1] + (k,))
     return idx, np.take_along_axis(scores, idx, axis=-1)
 

@@ -8,9 +8,8 @@ by rank-sum (no weights are available to MR by construction); when the
 intersection has fewer than ``k`` objects the remainder is padded by
 rank-sum over the union so a fixed-size result list always exists
 (documented choice; the paper's MR likewise returns top-k from merged
-candidates). ``MR--`` replaces the graph searches with exact per-modality
-top-``l_cand`` lists, made and merged in the worker: one distributed op
-over the query ids (see :meth:`MR.search`).
+candidates). ``MR--`` replaces the graph searches with one exact
+distributed scan over all ``t`` sub-queries stacked (see :meth:`MR.search`).
 """
 from __future__ import annotations
 
@@ -18,11 +17,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro import spark_map
-from repro.ann.bruteforce import topk_numpy
 from repro.core.fused_index import FusedIndex, build_fused_index, check_objects
 from repro.core.joint_search import SearchOutput, query_weights
 from repro.core.must import Must
@@ -50,21 +46,30 @@ class MR:
     ) -> SearchOutput:
         """t separate vector searches + intersection merge.
 
-        Graph MR searches each active modality's own index (one
-        ``Must.search`` each) and merges on the driver. MR-- is one
-        distributed op over the query ids: each task takes, per active
-        modality, its queries' exact top-``l_cand`` under a unit weight
-        (ties to the smaller id, ``-1`` padded when ``l_cand > n``),
-        merges the lists with :func:`merge_candidates` and ships ``k``
-        rows per query; ``stats["compute_s"]`` sums the tasks' kernel
-        seconds.
+        Graph MR searches each active modality's own index. MR-- runs the
+        ``t`` sub-queries as ``t * nq`` rows of one exact scan over the
+        active modalities under unit weights: sub-query ``(s, j)`` is query
+        ``j``'s vector in modality ``active[s]`` and zeros elsewhere, so its
+        joint IP is that modality's IP plus float32 zeros, which is the same
+        value. Its candidates are the per-modality exact top-``l_cand``,
+        ties to the smaller id, as ``t`` separate scans would return.
         """
         _, nq = query_weights(qry_mats, [1.0] * len(qry_mats), self.obj_mats)
         active = [i for i, q in enumerate(qry_mats) if q is not None]
+        t = len(active)
         t0 = time.perf_counter()
         if self.indexes is None:
-            ids, stats = self._brute(
-                [qry_mats[i] for i in active], [self.obj_mats[i] for i in active], nq, k, l_cand)
+            stacked = [np.zeros((t, nq, self.obj_mats[i].shape[1]), np.float32) for i in active]
+            for s, i in enumerate(active):
+                stacked[s][s] = qry_mats[i]
+            scan = Must(
+                spark=self.spark,
+                obj_mats=[self.obj_mats[i] for i in active],
+                weights=np.ones(t),
+                index=None,
+            )
+            out = scan.search([a.reshape(t * nq, -1) for a in stacked], k=l_cand, seed=seed)
+            cand = out.ids.reshape(t, nq, l_cand).swapaxes(0, 1)
         else:
             cand = np.stack([
                 Must(
@@ -75,37 +80,9 @@ class MR:
                 ).search([qry_mats[i]], k=l_cand, l=l_cand, seed=seed).ids
                 for i in active
             ], axis=1)
-            ids, stats = merge_candidates(cand, k), {}
+        ids = merge_candidates(cand, k)
         elapsed = time.perf_counter() - t0
-        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed, stats=stats)
-
-    def _brute(
-        self, qry_mats: list[np.ndarray], obj_mats: list[np.ndarray], nq: int, k: int, l_cand: int
-    ) -> tuple[np.ndarray, dict]:
-        """MR--'s op: ``(nq, k)`` merged ids and the summed kernel time."""
-
-        def run(qids: np.ndarray, qry, obj) -> pd.DataFrame:
-            t0 = time.perf_counter()
-            cand = np.full((len(qids), len(qry), l_cand), -1, dtype=np.int64)
-            for s, (q, o) in enumerate(zip(qry, obj)):
-                idx, _ = topk_numpy([q[qids]], [o], [1.0], l_cand)
-                cand[:, s, : idx.shape[1]] = idx
-            ids = merge_candidates(cand, k)
-            return pd.DataFrame({
-                "qid": np.repeat(qids, k),
-                "rank": np.tile(np.arange(k), len(qids)),
-                "oid": ids.ravel(),
-                "compute_s": (time.perf_counter() - t0) / max(ids.size, 1),
-            })
-
-        pdf = spark_map.collect(
-            self.spark, nq, run, "qid long, rank int, oid long, compute_s double",
-            [np.ascontiguousarray(a, np.float32) for a in qry_mats],
-            [np.ascontiguousarray(a, np.float32) for a in obj_mats],
-        )
-        ids = np.full((nq, k), -1, dtype=np.int64)
-        ids[pdf["qid"].to_numpy(), pdf["rank"].to_numpy()] = pdf["oid"].to_numpy()
-        return ids, {"compute_s": float(pdf["compute_s"].sum())}
+        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed, stats={})
 
 
 def merge_candidates(cand: np.ndarray, k: int) -> np.ndarray:
@@ -123,15 +100,19 @@ def merge_candidates(cand: np.ndarray, k: int) -> np.ndarray:
     if not len(q):
         return ids
     obj = cand[valid]
-    # one group per (query, object): its size is the number of lists
-    # holding the object, its rank sum one reduceat
-    order = np.lexsort((obj, q))
-    q, obj, rank = q[order], obj[order], pos[order] + 1
-    start = np.flatnonzero(np.r_[True, (q[1:] != q[:-1]) | (obj[1:] != obj[:-1])])
+    # one group per (query, object), found by sorting one int64 key: its
+    # size is the number of lists holding the object, its rank sum one
+    # reduceat
+    pair = q * (int(obj.max()) + 1) + obj
+    order = np.argsort(pair)
+    pair, q, obj, rank = pair[order], q[order], obj[order], pos[order] + 1
+    start = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
     missed = t - np.diff(np.r_[start, len(q)])
-    key = np.add.reduceat(rank, start) + 10 * width * missed
+    key = np.add.reduceat(rank, start) + 10 * width * missed  # <= 10 t L
     q, obj = q[start], obj[start]
-    order = np.lexsort((obj, key, missed > 0, q))
+    # the groups are in (query, id) order, so a stable sort on (query,
+    # missed any list, key) keeps ties by id
+    order = np.argsort((2 * q + (missed > 0)) * (10 * t * width + 1) + key, kind="stable")
     q, obj = q[order], obj[order]
     pos = np.arange(len(q)) - np.searchsorted(q, q)
     keep = pos < k

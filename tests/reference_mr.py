@@ -3,9 +3,8 @@
 One ``Must.search`` per active query modality (a Spark job each), then
 a per-query dict merge: the intersection by (rank-sum, id), then the
 rest of the union by (rank-sum + ``10 * l_cand`` per missed modality,
-id). ``repro.baselines.mr`` runs MR-- as one op that makes and merges
-the lists in the worker, with array ops; both must return these ids
-exactly.
+id). ``repro.baselines.mr`` runs MR-- as one stacked scan and merges
+with array ops; both must return these ids exactly.
 """
 from __future__ import annotations
 

@@ -8,13 +8,12 @@ import pytest
 from pyspark.errors import PythonException
 
 from repro import spark_map
-from repro.ann import nndescent
+from repro.ann import bruteforce, nndescent
 from repro.ann.bruteforce import topk_scan
 from repro.ann.distance import normalize
 from repro.ann.graphs import GraphIndex
 from repro.ann.nndescent import build_knn_graph, nndescent_pass
 from repro.ann.pruning import select_neighbors
-from repro.baselines import mr
 from repro.baselines.mr import fit_mr
 from repro.core.fused_index import FusedIndex
 from repro.core.joint_search import joint_search
@@ -152,15 +151,15 @@ def test_scan_consumers_release(spark, vecs, created):
 def test_mr_brute_releases(spark, vecs, created):
     obj = [vecs[:, :4], vecs[:, 4:]]
     fit_mr(spark, obj, brute=True).search([m[:5] for m in obj], k=3, l_cand=4)
-    assert_all_destroyed(created, 2)  # queries, objects
+    assert_all_destroyed(created, 2)  # stacked queries, objects
 
 
 def test_mr_brute_releases_on_failure(spark, vecs, created, monkeypatch):
     def failing_topk(qry_mats, obj_mats, weights, k):
         raise RuntimeError("top-k failed")
 
-    # MR--'s kernel is shipped by value with this global in it
-    monkeypatch.setattr(mr, "topk_numpy", failing_topk)
+    # the scan's kernel is shipped by value with this global in it
+    monkeypatch.setattr(bruteforce, "topk_numpy", failing_topk)
     obj = [vecs[:, :4], vecs[:, 4:]]
     with pytest.raises(PythonException, match="top-k failed"):
         fit_mr(spark, obj, brute=True).search([m[:5] for m in obj], k=3, l_cand=4)

@@ -18,7 +18,7 @@ def test_one_distributed_map_module():
 def test_one_per_vertex_kernel():
     """Algorithm 1's passes (① NNDescent, ②③ selection) share
     ``repro.ann.pruning``'s kernel; the distributed map runs from the
-    per-vertex, per-query, exact-scan and MR-- modules only."""
+    per-vertex, per-query and exact-scan modules only."""
     import re
 
     for name, text in sources().items():
@@ -27,8 +27,7 @@ def test_one_per_vertex_kernel():
         name for name, text in sources().items()
         if re.search(r"spark_map\.(collect|lazy)\(", text))
     assert callers == [
-        "repro/ann/bruteforce.py", "repro/ann/pruning.py", "repro/baselines/mr.py",
-        "repro/core/joint_search.py"]
+        "repro/ann/bruteforce.py", "repro/ann/pruning.py", "repro/core/joint_search.py"]
 
 
 def test_one_search_kernel():
@@ -86,10 +85,9 @@ def test_traced_search_stats_names(monkeypatch):
 
 def test_traced_mr_hook_sees_every_sub_search(monkeypatch):
     """The traced run times MR's sub-searches by replacing
-    ``repro.baselines.mr.Must``: graph MR makes one ``search`` call per
-    active modality; MR-- makes none, its lists are made and merged in
-    one op of its own (run with the distributed map replaced by a local
-    call)."""
+    ``repro.baselines.mr.Must``: MR-- makes one ``search`` call (one
+    stacked scan), graph MR one per active modality (run with the
+    distributed map replaced by a local call)."""
     import numpy as np
 
     from repro import spark_map
@@ -115,7 +113,7 @@ def test_traced_mr_hook_sees_every_sub_search(monkeypatch):
     graph = GraphIndex(nbrs=np.array([[1], [2], [3], [0]], dtype=np.int32), seed_vertex=0)
     index = FusedIndex(graph=graph, weights=np.ones(1))
     qry = [vecs, vecs, vecs]
-    for indexes, want in ((None, []), ([index] * 3, [1, 1, 1])):
+    for indexes, want in ((None, [3]), ([index] * 3, [1, 1, 1])):
         calls.clear()
         out = mr.MR(spark=None, obj_mats=[vecs] * 3, indexes=indexes).search(qry, k=2, l_cand=4)
         assert calls == want

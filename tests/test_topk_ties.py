@@ -12,15 +12,18 @@ from tests.reference_topk import topk_full_sort
 @st.composite
 def tied_scores(draw):
     """Integer-valued float scores from a few levels (so every row has
-    tie bands), 1-D or 2-D, and a ``k`` from 1 to past ``n``: across the
-    tie band at the k-th value as well as ``k >= n``."""
+    tie bands) mixed with NaN and +-inf (so some rows have fewer than k
+    non-NaN scores), 1-D or 2-D, and a ``k`` from 1 to past ``n``: across
+    the tie band at the k-th value as well as ``k >= n``."""
     shape = draw(st.one_of(
         st.tuples(st.integers(1, 40)),
         st.tuples(st.integers(1, 6), st.integers(1, 40)),
     ))
     levels = draw(st.integers(1, 5))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    scores = draw(arrays(dtype, shape, elements=st.integers(-levels, levels).map(float)))
+    elements = st.one_of(
+        st.integers(-levels, levels).map(float), st.sampled_from([np.nan, np.inf, -np.inf]))
+    scores = draw(arrays(dtype, shape, elements=elements))
     return scores, draw(st.integers(1, shape[-1] + 3))
 
 
@@ -31,5 +34,5 @@ def test_partial_topk_matches_full_sort(case):
     idx, vals = topk_from_scores(scores, k)
     want_idx, want_vals = topk_full_sort(scores, k)
     assert np.array_equal(idx, want_idx)
-    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(vals, want_vals, equal_nan=True)
     assert vals.dtype == scores.dtype
