@@ -223,20 +223,22 @@ T7_NOTES = """**Shape check vs paper Tab. VII** — tau is the summed in-worker 
 time (the paper's single-thread response time); wall-clock includes
 constant Spark job overhead. MUST-- selects its top-10 with a partial
 select (`np.partition`, then only the scores at or above the 10th
-largest sorted), not a full sort of all n scores, so it is the matmul
-plus a select linear in n. Not reproduced: on this 5k–80k sweep MUST
-never overtakes brute force. Over three runs of this benchmark, MUST's
-tau was 1.14–1.53x MUST--'s at 20k, 1.93–2.62x at 40k (where l rises to
-200) and 1.22–1.48x at 80k (l = 280); from 10k to 80k MUST--'s tau grew
-5.4–7.3x and MUST's 3.0–4.3x. One full-scale run (`jobs/run_table.py
-table7`: 10k–160k, gamma 24) finds no crossover either: MUST's tau was
-1.02x MUST--'s at 20k, 1.60x at 40k, 1.05x at 80k and 2.39x at 160k,
-where holding the recall takes l = 560. The earlier rows, with MUST ahead from ~15k and 25–50%
-faster at 20k–80k, compared against a MUST-- that stable-sorted every
-score. The paper's reductions (82.5%→98.4% at 1M–16M) come at 12–200x
-our scales, and our numpy beam-search kernel pays ~6 µs of per-step
-overhead per (query, expansion) that a C++ kernel does not. Build time
-and index size grow near-linearly with n (paper Fig. 7)."""
+largest sorted), not a full sort of all n scores. Not reproduced: MUST
+never overtakes brute force. Over the three benchmark runs kept in
+`results/table7_runs.json` (the table above is the last), MUST's tau was
+1.13–1.71x MUST--'s at 20k, 1.70–2.13x at 40k (where l rises to 200) and
+1.27–1.83x at 80k (l = 280). Over the five full-scale runs kept there
+(`jobs/run_table.py table7`: 10k–160k, gamma 24), the median ratio was
+1.57x at 20k and 40k, 1.66x at 80k and 1.51x at 160k (1.34–1.93x over
+all runs from 20k on). Holding Recall@10(10) > 0.99 makes l rise from
+100 to 560, so from 20k to 160k MUST's median tau grew 6.7x against
+MUST--'s 5.8x: no crossover is in sight at these scales. The earlier
+rows, with MUST ahead from ~15k and 25–50% faster at 20k–80k, compared
+against a MUST-- that stable-sorted every score. The paper's reductions
+(82.5%→98.4% at 1M–16M) come at 12–200x our scales, and our numpy
+beam-search kernel pays ~6 µs of per-step overhead per (query,
+expansion) that a C++ kernel does not. Build time and index size grow
+near-linearly with n (paper Fig. 7)."""
 T8_NOTES = """**Shape check vs paper Tab. VIII** — reproduced: recall grows with m
 for MUST; MR's intersection merge degrades as m grows (m=4 no better or
 worse than m=3), MUST handles m=4 gracefully."""
