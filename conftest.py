@@ -53,7 +53,7 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
+def spark(pytestconfig) -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
@@ -62,18 +62,22 @@ def spark() -> SparkSession:
     table jobs and the benchmark use; only the test-only shuffle partition
     count (read per query) is set on top.
     """
-    from jobs._common import get_spark
+    from jobs._common import get_spark, python_sockets
 
     s = get_spark("repro")
     s.conf.set("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
-    print(
-        f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
-        f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
-        file=sys.stderr,
-    )
+    # One line in the test log that says whether the cgroup derivation saw
+    # the real limit and which socket transport the workers use
+    # (README § Spark target). Written past pytest's output capture, which
+    # would otherwise show it only when the first test using it fails.
+    with pytestconfig.pluginmanager.getplugin("capturemanager").global_and_fixture_disabled():
+        print(
+            f"\n[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
+            f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
+            f"master={s.sparkContext.master} "
+            f"defaultParallelism={s.sparkContext.defaultParallelism} "
+            f"python_sockets={python_sockets(s)}",
+            file=sys.stderr,
+        )
     yield s
     s.stop()

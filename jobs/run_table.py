@@ -22,9 +22,12 @@ if __name__ == "__main__":
     ap.add_argument("name", choices=list(TABLES))
     table = TABLES[ap.parse_args().name]
     spark = get_spark(table.title)
-    spark.sparkContext.setLogLevel("ERROR")
-    rows = table.fn(spark, **table.args)
+    try:
+        spark.sparkContext.setLogLevel("ERROR")
+        rows = table.fn(spark, **table.args)
+    finally:
+        # also on failure: stopping removes the session's Unix socket files
+        spark.stop()
     print(f"\n== {table.title} ==")
     print(format_table(rows))
     print(json.dumps(rows, default=str), file=sys.stderr)
-    spark.stop()

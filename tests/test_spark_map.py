@@ -1,15 +1,19 @@
 """The distributed map's id frame: one stage, no shuffle, the ids
 ``0..n-1`` each exactly once over ``min(defaultParallelism, n)``
-partitions (an empty range plans as an empty relation); and the worker
-import state each task leaves behind."""
+partitions (an empty range plans as an empty relation); the worker
+import state each task leaves behind; and the socket transport between
+the workers and the JVM."""
 import importlib
+import os
 import sys
+import tempfile
 import zipimport
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from jobs._common import MAX_SOCKET_DIR, python_socket_dir, python_sockets
 from repro import spark_map
 
 
@@ -65,3 +69,43 @@ def test_unimported_pyspark_module_imports_after_the_trim(spark):
     pdf = spark_map.collect(spark, parts, import_fresh, "id long, file string")
     assert sorted(pdf["id"]) == list(range(parts))
     assert pdf["file"].str.endswith("instrumentation_utils.py").all()
+
+
+@pytest.mark.parametrize("tmpdir", ["/tmp", "/" + "d" * (MAX_SOCKET_DIR - 1)])
+def test_short_temp_dir_gives_unix_sockets_there(tmpdir):
+    assert python_socket_dir(tmpdir) == tmpdir
+
+
+@pytest.mark.parametrize("tmpdir", [
+    "/" + "d" * MAX_SOCKET_DIR,
+    "/" + "d" * 64,
+    "/" + "d" * 84,
+    "/" + "\u00e9" * 31,  # 32 characters, 63 bytes
+])
+def test_long_temp_dir_keeps_tcp(tmpdir):
+    """A socket path is the dir plus 43 bytes and AF_UNIX allows 107;
+    Spark rejects a socket dir of more than 61 characters."""
+    assert python_socket_dir(tmpdir) is None
+
+
+def worker_transport(ids: np.ndarray) -> pd.DataFrame:
+    uds = os.environ.get("PYTHON_UNIX_DOMAIN_ENABLED", "false").lower() == "true"
+    return pd.DataFrame({"id": ids, "uds": uds})
+
+
+def test_session_runs_the_chosen_transport(spark):
+    """The session's Python sockets follow the temp dir: Unix domain
+    sockets in it when it is short enough, TCP otherwise; and every
+    worker of an op was started on that transport."""
+    sock_dir = python_socket_dir(tempfile.gettempdir())
+    conf = spark.sparkContext.getConf()
+    if sock_dir is None:
+        assert python_sockets(spark) == "tcp"
+    else:
+        assert conf.get("spark.python.unix.domain.socket.enabled") == "true"
+        assert conf.get("spark.python.unix.domain.socket.dir") == sock_dir
+        assert python_sockets(spark) == f"unix:{sock_dir}"
+    parts = spark.sparkContext.defaultParallelism
+    pdf = spark_map.collect(spark, parts, worker_transport, "id long, uds boolean")
+    assert sorted(pdf["id"]) == list(range(parts))
+    assert (pdf["uds"] == (sock_dir is not None)).all(), pdf["uds"].tolist()

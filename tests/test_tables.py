@@ -53,6 +53,28 @@ def test_table7_scale_rows(spark):
         assert r["index_MB"] > 0
 
 
+def test_table7_first_scale_is_measured_after_a_warm_up(spark, monkeypatch):
+    """Every search of the first scale but the first may be recorded: the
+    spy tags each call's tau with its call number, and the first row's
+    tau is not call 0's."""
+    calls, real = [], T.joint_search
+
+    def spy(spark_, qry_mats, obj_mats, *args, **kwargs):
+        out = real(spark_, qry_mats, obj_mats, *args, **kwargs)
+        calls.append(len(obj_mats[0]))
+        out.stats["compute_s"] = float(len(calls))
+        return out
+
+    monkeypatch.setattr(T, "joint_search", spy)
+    rows = T.table7_scale(
+        spark, scales=(300, 600), nq=20, gamma=8, eps=2, target_recall=0.8
+    )
+    assert calls[0] == 300
+    recorded = [int(r["must_tau_s"]) - 1 for r in rows]
+    assert calls[recorded[0]] == 300 and recorded[0] != 0, (calls, recorded)
+    assert calls[recorded[1]] == 600
+
+
 def test_table8_modalities_rows(spark):
     rows = T.table8_modalities(spark, n=250, nq=30, cfg=TINY)
     assert [r["m"] for r in rows] == [2, 2, 3, 3, 4, 4]
