@@ -1,14 +1,11 @@
-"""Distributed exact top-k scans — the ``MUST--`` / ``MR--`` substrate.
+"""Distributed exact top-k scan — the ``MUST--`` / ``MR--`` substrate.
 
-Two implementations of the same relational semantics:
-
-* :func:`topk_scan` — the production path. The distributed axis is the
-  *query id*; query and object matrices ride along as Spark broadcasts
-  and each partition scores its query batch with one matmul per modality
-  (one :func:`repro.spark_map.lazy` map).
-* :func:`topk_sql` — a pure-Catalyst cross join + window rank over
-  ``array<double>`` columns, used by the tests to oracle-check the scan
-  against DuckDB ``list_inner_product``.
+:func:`topk_scan` distributes the *query ids*; query and object matrices
+ride along as Spark broadcasts and each partition scores its query
+batch with one matmul per modality (one :func:`repro.spark_map.lazy`
+map). :func:`topk_numpy` is the same top-k on the driver. The tests
+check the scan against DuckDB ``list_inner_product`` through the
+Catalyst cross join kept in ``tests/reference_sql.py``.
 """
 from __future__ import annotations
 
@@ -17,11 +14,10 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame, SparkSession
 
 from repro import spark_map
-from repro.ann.distance import joint_ip_col, joint_ip_matrix, topk_from_scores
+from repro.ann.distance import joint_ip_matrix, topk_from_scores
 from repro.core.fused_index import check_objects
 from repro.core.joint_search import query_weights
 
@@ -54,8 +50,8 @@ def topk_scan(
 
     The inputs must meet :func:`~repro.core.joint_search.query_weights`
     and :func:`~repro.core.fused_index.check_objects` (``ValueError``
-    before any job). Output schema: ``qid, oid, rank (1-based),
-    ip_joint, compute_s``. The scan's broadcasts live until the DataFrame
+    before any job). Its rows are
+    :data:`repro.spark_map.TOPK_SCHEMA`'s. The scan's broadcasts live until the DataFrame
     is passed to :func:`repro.spark_map.release` (see that module).
     """
     weights, nq = query_weights(qry_mats, weights, obj_mats)
@@ -66,46 +62,13 @@ def topk_scan(
         idx, vals = topk_numpy(
             [None if q is None else q[qids] for q in q_mats_l], o_mats_l, weights, k
         )
-        out = pd.DataFrame({
-            "qid": np.repeat(qids, idx.shape[1]),
-            "oid": idx.ravel().astype(np.int64),
-            "rank": np.tile(np.arange(1, idx.shape[1] + 1), len(qids)),
-            "ip_joint": vals.ravel().astype(np.float64),
-        })
-        # per-row share of this batch's kernel seconds; summing the
-        # column gives the total in-worker compute time (the paper's
+        # each row's share of this batch's kernel seconds: summing the
+        # column gives the in-worker compute time (the paper's
         # single-thread tau, Tab. VII)
-        out["compute_s"] = (time.perf_counter() - t0) / len(out)
-        return out
+        return spark_map.topk_rows(qids, idx, vals, time.perf_counter() - t0)
 
     return spark_map.lazy(
-        spark, nq, score,
-        "qid long, oid long, rank int, ip_joint double, compute_s double",
+        spark, nq, score, spark_map.TOPK_SCHEMA,
         [None if a is None else np.asarray(a, dtype=np.float32) for a in qry_mats],
         [np.asarray(a, dtype=np.float32) for a in obj_mats],
-    )
-
-
-def topk_sql(
-    queries_df: DataFrame,
-    objects_df: DataFrame,
-    weights: Sequence[float],
-    k: int,
-) -> DataFrame:
-    """Pure-Catalyst exact top-k (cross join + window rank) over the
-    columns ``q0..q{m-1}`` and ``v0..v{m-1}``.
-
-    Quadratic — only for oracle-checked tests at small n. Ties broken by
-    ``oid`` ascending, matching :func:`~repro.ann.distance.topk_from_scores`.
-    """
-    m = len(weights)
-    joined = queries_df.crossJoin(objects_df).withColumn(
-        "ip_joint",
-        joint_ip_col([f"q{i}" for i in range(m)], [f"v{i}" for i in range(m)], weights),
-    )
-    w = Window.partitionBy("qid").orderBy(F.desc("ip_joint"), F.asc("id"))
-    return (
-        joined.withColumn("rank", F.row_number().over(w))
-        .filter(F.col("rank") <= k)
-        .select("qid", F.col("id").alias("oid"), "rank", "ip_joint")
     )

@@ -7,17 +7,15 @@ per-modality IPs with weights ``w_i = omega_i^2`` (paper Lemma 1):
 
     IP(q_hat, o_hat) = sum_i w_i * IP(phi_i(q), phi_i(o))
 
-Numpy kernels operate on per-modality matrices; the Spark-SQL expression
-builder produces a Catalyst ``Column`` for array<double> columns so pure
-DataFrame query paths stay oracle-checkable against DuckDB.
+The kernels operate on per-modality numpy matrices. The same joint IP as
+a Catalyst expression over ``array<double>`` columns, for the DuckDB
+oracle, is kept in ``tests/reference_sql.py``.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 
 def normalize(mat: np.ndarray) -> np.ndarray:
@@ -83,33 +81,3 @@ def topk_from_scores(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
         idx = cols[order][(np.cumsum(count) - count)[:, None] + np.arange(k)]
     idx = idx.reshape(scores.shape[:-1] + (k,))
     return idx, np.take_along_axis(scores, idx, axis=-1)
-
-
-def array_ip_col(a: str | Column, b: str | Column) -> Column:
-    """Catalyst expression for the IP of two ``array<double>`` columns.
-
-    Built from ``zip_with`` + ``aggregate`` so the whole scan stays inside
-    Spark SQL (no UDF) and can be diffed against DuckDB's
-    ``list_inner_product`` by the oracle.
-    """
-    a = F.col(a) if isinstance(a, str) else a
-    b = F.col(b) if isinstance(b, str) else b
-    prod = F.zip_with(a, b, lambda x, y: x * y)
-    return F.aggregate(prod, F.lit(0.0), lambda acc, x: acc + x)
-
-
-def joint_ip_col(
-    q_cols: Sequence[str | Column | None],
-    o_cols: Sequence[str | Column],
-    weights: Sequence[float],
-) -> Column:
-    """Catalyst expression for the joint similarity of Lemma 1."""
-    total: Column | None = None
-    for q, o, w in zip(q_cols, o_cols, weights):
-        if q is None or w == 0.0:
-            continue
-        term = array_ip_col(q, o) * F.lit(float(w))
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("query has no active modalities")
-    return total

@@ -51,41 +51,43 @@ def ensure_connectivity(nbrs: np.ndarray, seed_vertex: int, vecs: np.ndarray) ->
     """Component ⑤: BFS from the seed; bridge unreached regions.
 
     Whenever BFS exhausts with unreached vertices left, an edge is added
-    from the *nearest visited vertex* to one unreached vertex and BFS
-    continues — the paper's repair rule. Runs on the driver over the
-    collected adjacency (documented deviation, DESIGN.md §5).
+    from the *nearest visited vertex* to the lowest unreached id and BFS
+    continues from there — the paper's repair rule. The BFS expands a
+    whole frontier at a time over the padded array, on the driver
+    (documented deviation, DESIGN.md §5). A graph that needs no repair
+    comes back as given; otherwise each row keeps its edges as a prefix,
+    followed by its repair edges in the order they were added, and the
+    width grows to fit.
     """
-    n, width = nbrs.shape
-    adj = [row[row >= 0].tolist() for row in nbrs]
+    n = len(nbrs)
     visited = np.zeros(n, dtype=bool)
-    frontier = [seed_vertex]
     visited[seed_vertex] = True
+    frontier = np.array([seed_vertex])
     added: list[tuple[int, int]] = []
     while True:
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if not visited[u]:
-                        visited[u] = True
-                        nxt.append(u)
-            frontier = nxt
+        while len(frontier):
+            reached = nbrs[frontier].ravel()
+            reached = np.unique(reached[reached >= 0])
+            frontier = reached[~visited[reached]]
+            visited[frontier] = True
         if visited.all():
             break
-        unreached = np.flatnonzero(~visited)
-        target = int(unreached[0])
+        target = int(np.argmin(visited))
         vis_ids = np.flatnonzero(visited)
         src = int(vis_ids[np.argmax(vecs[vis_ids] @ vecs[target])])
-        adj[src].append(target)
         added.append((src, target))
         visited[target] = True
-        frontier = [target]
+        frontier = np.array([target])
     if not added:
         return nbrs
-    new_width = max(width, max(len(a) for a in adj))
-    out = np.full((n, new_width), -1, dtype=np.int32)
-    for i, a in enumerate(adj):
-        out[i, : len(a)] = a
+    valid = nbrs >= 0
+    deg = valid.sum(axis=1)
+    extra = np.bincount([src for src, _ in added], minlength=n)
+    out = np.full((n, max(nbrs.shape[1], int((deg + extra).max()))), -1, dtype=np.int32)
+    out[np.nonzero(valid)[0], np.cumsum(valid, axis=1)[valid] - 1] = nbrs[valid]
+    for src, target in added:
+        out[src, deg[src]] = target
+        deg[src] += 1
     return out
 
 

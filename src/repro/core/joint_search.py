@@ -6,8 +6,8 @@ qids across partitions); the fused graph adjacency and the per-modality
 object matrices ride along as broadcasts. Each worker runs the numpy
 kernel :func:`repro.ann.beam_search.beam_search_batch` — lockstep-batched
 greedy routing with the multi-vector computation optimization — over
-``_BATCH``-query chunks of its queries and emits
-``(qid, oid, rank, ip_joint)`` rows plus per-chunk effort counters.
+``_BATCH``-query chunks of its queries and emits their top-k rows
+(:func:`repro.spark_map.topk_rows`) plus per-chunk effort counters.
 """
 from __future__ import annotations
 
@@ -102,30 +102,19 @@ def joint_search(
                 qry, obj, weights, nbrs, seed_vertex, k, l, qids,
                 rng_base=seed, optimize=optimize,
             )
-            dt = time.perf_counter() - t0
-            kk = ids.shape[1]
-            out = pd.DataFrame(
-                {
-                    "qid": np.repeat(qids, kk),
-                    "oid": ids.ravel(),
-                    "rank": np.tile(np.arange(1, kk + 1), len(qids)),
-                    "ip_joint": ips.ravel(),
-                    "compute_s": dt / (len(qids) * kk),
-                }
-            )
+            out = spark_map.topk_rows(qids, ids, ips, time.perf_counter() - t0)
             # per-batch effort counters, attributed to the batch's first
             # result row (rank 1, always a real object) so sums are exact
             for c in _COUNTERS:
                 out[c] = 0
                 out.loc[0, c] = getattr(st, c)
-            frames.append(out[out["oid"] >= 0])
+            frames.append(out)
         return pd.concat(frames, ignore_index=True)
 
     t0 = time.perf_counter()
     pdf = spark_map.collect(
         spark, nq, run,
-        "qid long, oid long, rank int, ip_joint double, compute_s double, "
-        "n_expanded long, n_candidates long, n_dots long, n_dots_saved long",
+        spark_map.TOPK_SCHEMA + "".join(f", {c} long" for c in _COUNTERS),
         [np.ascontiguousarray(a, np.float32) for a in obj_mats],
         [None if a is None else np.ascontiguousarray(a, np.float32) for a in qry_mats],
         index.graph.nbrs,

@@ -41,7 +41,8 @@ class Must:
         seed: int = 0,
     ) -> SearchOutput:
         """Joint search; falls back to the exact distributed scan when no
-        index was built (``MUST--``)."""
+        index was built (``MUST--``). Either path reports its summed
+        in-worker kernel seconds as ``stats["compute_s"]``."""
         if self.index is not None:
             return joint_search(
                 self.spark, qry_mats, self.obj_mats, self.index, k,
@@ -52,7 +53,10 @@ class Must:
         pdf = spark_map.to_pandas(topk_scan(self.spark, qry_mats, self.obj_mats, weights, k))
         elapsed = time.perf_counter() - t0
         ids, ips = spark_map.scatter_topk(pdf, nq, k)
-        return SearchOutput(ids=ids, ips=ips, elapsed_s=elapsed, stats={})
+        return SearchOutput(
+            ids=ids, ips=ips, elapsed_s=elapsed,
+            stats={"compute_s": float(pdf["compute_s"].sum())},
+        )
 
 
 def fit_must(

@@ -15,9 +15,8 @@ encoder combo from :mod:`repro.encoders.sim`:
 * ``celeba_plus``     — celeba with 2 extra simulated image modalities.
 * ``imagetext``       — scaling family standing in for ImageText1M/16M.
 
-Datasets carry numpy views (for broadcast-side kernels) and build Spark
-DataFrames on demand (``id`` + one ``array<double>`` column per modality)
-for the Catalyst/oracle paths.
+Datasets carry numpy matrices, one per modality, which the kernels
+read and Spark broadcasts.
 """
 from __future__ import annotations
 
@@ -25,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.encoders.latent import LatentConfig, LatentWorld, make_world
 from repro.encoders.sim import encode_channel
@@ -54,20 +51,6 @@ class MSTMDataset:
     @property
     def nq(self) -> int:
         return self.gt.shape[0]
-
-    def objects_df(self, spark: SparkSession) -> DataFrame:
-        """Objects as ``(id bigint, v0 array<double>, ..., v{m-1})``."""
-        data = {"id": np.arange(self.n, dtype=np.int64)}
-        for i, mat in enumerate(self.obj_mats):
-            data[f"v{i}"] = list(mat.astype(np.float64))
-        return spark.createDataFrame(pd.DataFrame(data))
-
-    def queries_df(self, spark: SparkSession) -> DataFrame:
-        """Queries as ``(qid bigint, q0 array<double>, ..., q{m-1})``."""
-        data = {"qid": np.arange(self.nq, dtype=np.int64)}
-        for i, mat in enumerate(self.qry_mats):
-            data[f"q{i}"] = list(mat.astype(np.float64))
-        return spark.createDataFrame(pd.DataFrame(data))
 
 
 @lru_cache(maxsize=32)

@@ -123,6 +123,28 @@ def scatter_rows(pdf: pd.DataFrame, n: int, width: int) -> np.ndarray:
     return out
 
 
+# the rows of a per-query top-k: one per (query, result), rank 1-based
+TOPK_SCHEMA = "qid long, oid long, rank int, ip_joint double, compute_s double"
+
+
+def topk_rows(
+    qids: np.ndarray, ids: np.ndarray, ips: np.ndarray, seconds: float
+) -> pd.DataFrame:
+    """``(len(qids), k)`` ids and IPs → :data:`TOPK_SCHEMA` rows, the
+    inverse of :func:`scatter_topk`. ``-1`` ids are dropped; ``seconds``
+    (the batch's kernel time) is spread evenly over the rows kept, so
+    summing ``compute_s`` gives it back."""
+    k = ids.shape[1]
+    keep = ids.ravel() >= 0
+    return pd.DataFrame({
+        "qid": np.repeat(qids, k)[keep],
+        "oid": ids.ravel()[keep].astype(np.int64),
+        "rank": np.tile(np.arange(1, k + 1), len(qids))[keep],
+        "ip_joint": ips.ravel()[keep].astype(np.float64),
+        "compute_s": seconds / max(int(keep.sum()), 1),
+    })
+
+
 def scatter_topk(pdf: pd.DataFrame, nq: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(qid, rank, oid, ip_joint)`` rows → ``(nq, k)`` ids (``-1`` fill)
     and joint IPs (``-inf`` fill); ranks are 1-based, ranks above ``k``

@@ -1,7 +1,8 @@
-"""Tests for the exact top-k scans, oracle-checked against DuckDB.
+"""Tests for the exact top-k scan, oracle-checked against DuckDB.
 
-``topk_sql`` (pure Catalyst) is diffed against a DuckDB
-``list_inner_product`` query via ``repro.oracle.assert_equivalent``;
+``topk_sql`` (pure Catalyst, ``tests/reference_sql.py``) is diffed
+against a DuckDB ``list_inner_product`` query via
+``repro.oracle.assert_equivalent``;
 ``topk_scan`` (the distributed production path) is then checked against
 ``topk_sql`` and against the numpy reference, closing the loop.
 """
@@ -9,10 +10,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.ann.bruteforce import topk_numpy, topk_scan, topk_sql
+from repro.ann.bruteforce import topk_numpy, topk_scan
 from repro.ann.distance import normalize
 from repro.datasets import mitstates_lite
 from repro.oracle import assert_equivalent
+from tests.reference_sql import objects_df, queries_df, topk_sql
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +42,12 @@ def duckdb_topk_sql(weights, k):
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
 @pytest.mark.parametrize("k", [1, 5])
 def test_topk_sql_matches_duckdb_oracle(spark, ds, weights, k):
-    got = topk_sql(ds.queries_df(spark), ds.objects_df(spark), weights, k)
+    got = topk_sql(queries_df(ds, spark), objects_df(ds, spark), weights, k)
     assert_equivalent(
         got,
         duckdb_topk_sql(weights, k),
-        queries=ds.queries_df(spark),
-        objects=ds.objects_df(spark),
+        queries=queries_df(ds, spark),
+        objects=objects_df(ds, spark),
     )
 
 
@@ -59,7 +61,7 @@ def test_topk_scan_matches_topk_sql(spark, ds):
         .reset_index(drop=True)
     )
     sql = (
-        topk_sql(ds.queries_df(spark), ds.objects_df(spark), w, k)
+        topk_sql(queries_df(ds, spark), objects_df(ds, spark), w, k)
         .select("qid", "oid", "rank")
         .toPandas()
         .sort_values(["qid", "rank"])

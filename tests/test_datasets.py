@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro import datasets as D
+from tests.reference_sql import objects_df, queries_df
 
 BUILDERS = {
     "mitstates": lambda **kw: D.mitstates_lite(**kw),
@@ -70,7 +71,7 @@ def test_unknown_shopping_category():
 
 def test_objects_df_schema(spark):
     ds = D.mitstates_lite(n=120, nq=10)
-    df = ds.objects_df(spark)
+    df = objects_df(ds, spark)
     assert df.count() == 120
     assert set(df.columns) == {"id", "v0", "v1"}
     row = df.filter("id = 0").collect()[0]
@@ -79,7 +80,7 @@ def test_objects_df_schema(spark):
 
 def test_queries_df_schema(spark):
     ds = D.mitstates_lite(n=120, nq=10)
-    df = ds.queries_df(spark)
+    df = queries_df(ds, spark)
     assert df.count() == 10
     assert set(df.columns) == {"qid", "q0", "q1"}
     row = df.filter("qid = 3").collect()[0]

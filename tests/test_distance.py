@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 
 from repro.ann.distance import (
-    array_ip_col,
     concat_weighted,
-    joint_ip_col,
     joint_ip_matrix,
     normalize,
     topk_from_scores,
 )
+from tests.reference_sql import array_ip_col, joint_ip_col
 
 
 @pytest.mark.parametrize("d", [1, 3, 16, 64])

@@ -12,6 +12,9 @@ from repro.ann.graphs import (
     centroid_seed,
     ensure_connectivity,
 )
+from repro.core.fused_index import build_fused_index
+from repro.datasets import imagetext, mscoco_lite
+from tests.reference_graphs import ensure_connectivity as reference_connectivity
 
 
 def vecs(n=200, d=12, seed=0):
@@ -163,3 +166,59 @@ def test_build_graph_duplicate_rows(spark, variant):
     v[[11, 23]] = v[5]  # three identical rows
     g = build_graph(spark, v, gamma=8, eps=2, variant=variant, seed=0)
     assert_valid_graph(g, 40, variant)
+
+
+def assert_matches_reference(nbrs, seed_vertex, v):
+    want = reference_connectivity(nbrs.copy(), seed_vertex, v)
+    got = ensure_connectivity(nbrs.copy(), seed_vertex, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_graphs(), st.booleans())
+def test_ensure_connectivity_matches_reference(graph, isolate_seed):
+    """The frontier BFS over the padded array writes the same repair
+    edges, in the same slots and at the same width, as the list-of-lists
+    BFS in ``tests/reference_graphs.py``, on graphs that are connected or
+    not, from n = 1, with all ``-1`` rows and with an isolated seed."""
+    nbrs, seed_vertex, v = graph
+    if isolate_seed:
+        nbrs[seed_vertex] = -1
+    assert_matches_reference(nbrs, seed_vertex, v)
+
+
+@pytest.mark.parametrize("case", ["n=1", "all -1", "isolated seed", "two rings"])
+def test_ensure_connectivity_matches_reference_cases(case):
+    n = {"n=1": 1, "all -1": 7, "isolated seed": 6, "two rings": 10}[case]
+    nbrs = np.full((n, 2), -1, np.int32)
+    if case == "isolated seed":
+        nbrs[1:, 0] = np.r_[np.arange(2, n), 1]
+    if case == "two rings":
+        nbrs[:5, 0] = np.roll(np.arange(5), -1)
+        nbrs[5:, 0] = np.roll(np.arange(5, 10), -1)
+    assert_matches_reference(nbrs, 0, vecs(n, seed=n))
+
+
+@pytest.mark.parametrize("config", ["interactive-m2", "bulk-m3"])
+def test_ensure_connectivity_matches_reference_on_benchmark_builds(spark, monkeypatch, config):
+    """The ``ours`` build of each benchmark configuration (n = 2000,
+    gamma 24, eps 3): ⑤ gets the selected adjacency, and the reference
+    repairs it to the same array."""
+    import repro.ann.graphs as graphs
+
+    calls = []
+
+    def recording(nbrs, seed_vertex, v):
+        calls.append((nbrs.copy(), seed_vertex, v))
+        return ensure_connectivity(nbrs, seed_vertex, v)
+
+    monkeypatch.setattr(graphs, "ensure_connectivity", recording)
+    ds, w = {
+        "interactive-m2": (imagetext(2000, ("resnet50", "lstm"), nq=1, seed=1), (0.8, 0.75)),
+        "bulk-m3": (mscoco_lite(("resnet50", "gru", "resnet50"), n=2000, nq=1, seed=1),
+                    (0.5, 0.3, 0.2)),
+    }[config]
+    build_fused_index(spark, ds.obj_mats, w, gamma=24, eps=3, seed=1)
+    assert len(calls) == 1
+    assert_matches_reference(*calls[0])

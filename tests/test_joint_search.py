@@ -134,3 +134,27 @@ def test_weights_must_be_finite_and_nonnegative(spark, setup, bad):
     bad_index = FusedIndex(graph=index.graph, weights=np.array([0.5, bad]))
     with pytest.raises(ValueError, match="weights"):
         joint_search(spark, ds.qry_mats, ds.obj_mats, bad_index, 5, 40)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_compute_s_sums_to_the_batch_kernel_time(monkeypatch, k):
+    """``stats["compute_s"]`` is the kernel's time even when results are
+    padded: with n = 4 and k = 6 each query has two ``-1`` slots, which
+    are dropped before the batch's seconds are spread over its rows. Each
+    ``perf_counter`` call advances one second, so the single batch takes
+    exactly 1 s (run with the distributed map replaced by a local call)."""
+    import itertools
+    from types import SimpleNamespace
+
+    from repro import spark_map
+    from repro.ann.graphs import GraphIndex
+
+    monkeypatch.setattr(
+        spark_map, "collect", lambda spark, n, fn, schema, *values: fn(np.arange(n), *values))
+    clock = itertools.count()
+    monkeypatch.setattr(js, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    vecs = np.eye(4, dtype=np.float32)
+    graph = GraphIndex(nbrs=np.array([[1], [2], [3], [0]], dtype=np.int32), seed_vertex=0)
+    out = joint_search(None, [vecs], [vecs], FusedIndex(graph=graph, weights=np.ones(1)), k, 8)
+    assert (out.ids >= 0).sum() == 4 * min(k, 4)
+    assert out.stats["compute_s"] == 1.0

@@ -150,3 +150,41 @@ def test_traced_mining_hook_sees_every_scan(monkeypatch):
             hard_negatives=hard)
         assert len(calls) == want
         assert len(res.history) == 3
+
+
+# The relational top-k (Catalyst cross join, window rank, array IP
+# columns) is the test oracle in tests/reference_sql.py; src/ keeps none.
+
+def imports(text: str) -> list[tuple[str, str]]:
+    """``(module, name)`` for every import in ``text``; ``name`` is empty
+    for a plain ``import module``."""
+    import ast
+
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            out += [(a.name, "") for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out += [(node.module or "", a.name) for a in node.names]
+    return out
+
+
+def test_no_relational_top_k_in_src():
+    for name, text in sources().items():
+        for module, imported in imports(text):
+            assert imported not in ("Window", "Column"), f"{name} imports {imported}"
+            assert "pyspark.sql.functions" not in (module, f"{module}.{imported}"), (
+                f"{name} imports pyspark.sql.functions")
+
+
+def test_distance_and_datasets_import_no_pyspark():
+    for name in ("repro/ann/distance.py", "repro/datasets.py"):
+        modules = [module for module, _ in imports(sources()[name])]
+        assert not [m for m in modules if m.split(".")[0] == "pyspark"], name
+
+
+def test_one_topk_row_schema():
+    """The per-query top-k rows' schema is written once, as
+    ``spark_map.TOPK_SCHEMA``, next to the builder and its inverse."""
+    users = sorted(name for name, text in sources().items() if "ip_joint double" in text)
+    assert users == ["repro/spark_map.py"]

@@ -100,6 +100,14 @@ def test_empty_query_batch(spark, tiny, path):
 
 
 @pytest.mark.parametrize("path", ["index", "brute"])
+def test_search_reports_kernel_seconds(spark, tiny, path):
+    """Both paths report their summed in-worker kernel time, the
+    paper's tau (Tab. VII measures ``MUST--`` through this)."""
+    qry, _, _, models = tiny
+    assert models[path].search(qry, k=5).stats["compute_s"] > 0
+
+
+@pytest.mark.parametrize("path", ["index", "brute"])
 def test_all_query_modalities_absent_is_an_error(spark, tiny, path):
     _, _, _, models = tiny
     with pytest.raises(ValueError, match="every query modality is None"):
