@@ -50,9 +50,9 @@ def topk_scan(
 
     The inputs must meet :func:`~repro.core.joint_search.query_weights`
     and :func:`~repro.core.fused_index.check_objects` (``ValueError``
-    before any job). Its rows are
-    :data:`repro.spark_map.TOPK_SCHEMA`'s. The scan's broadcasts live until the DataFrame
-    is passed to :func:`repro.spark_map.release` (see that module).
+    before any job). Its rows are :data:`repro.spark_map.TOPK_SCHEMA`'s.
+    The scan's broadcasts live until the DataFrame is passed to
+    :func:`repro.spark_map.release` (see that module).
     """
     weights, nq = query_weights(qry_mats, weights, obj_mats)
     check_objects(obj_mats)
@@ -62,9 +62,8 @@ def topk_scan(
         idx, vals = topk_numpy(
             [None if q is None else q[qids] for q in q_mats_l], o_mats_l, weights, k
         )
-        # each row's share of this batch's kernel seconds: summing the
-        # column gives the in-worker compute time (the paper's
-        # single-thread tau, Tab. VII)
+        # summing the rows' compute_s gives the in-worker kernel time
+        # (the paper's single-thread tau, Tab. VII)
         return spark_map.topk_rows(qids, idx, vals, time.perf_counter() - t0)
 
     return spark_map.lazy(
