@@ -40,7 +40,7 @@ def acc_table(rows, paper, ks=("recall@1", "recall@5", "recall@10"), sme=True):
     lines = ["| " + " | ".join(head) + " |",
              "|" + "---|" * len(head)]
     for r in rows:
-        enc = r["encoder"].replace("+gru", "+gru")
+        enc = r["encoder"]
         key = (r["framework"], enc if r["framework"] != "je" else enc.split("+")[0])
         pap = paper.get(key, (None,) * (len(ks) + (1 if sme else 0)))
         cells = [r["framework"].upper(), key[1]]
@@ -121,7 +121,6 @@ def main() -> str:
         lines = ["| dataset | modality | encoder | R@1 ours | R@1 paper | R@5 ours | R@5 paper | R@10 ours | R@10 paper |",
                  "|---|---|---|---|---|---|---|---|---|"]
         for r in rows:
-            dsname = r["dataset"].split("-")[0].replace("shopping", "shopping")
             key = (r["dataset"].split("-")[0], r["modality"], r["encoder"])
             pap = P.TABLE10_SINGLE_MODALITY.get(key, (None, None, None))
             lines.append(
@@ -146,6 +145,10 @@ def main() -> str:
         for r in rows:
             lines.append(f"| {r['method']} | {r['l']} | {fmt(r['recall@10(10)'])} | "
                          f"{fmt(r['recall@10(1)'])} | {r['time_ms_per_q']} | {r['qps']} |")
+        lines += ["", "The paper's MUST rows (Tab. XII, 1M objects):", "",
+                  "| paper: l | R@10(10) | ms/query |", "|---|---|---|"]
+        for l, (rec, ms) in P.TABLE12_L_SWEEP.items():
+            lines.append(f"| {l:,} | {fmt(rec)} | {ms} |")
         out.append(section("Table XII + §VIII-D (Fig. 6) — l sweep, MUST vs MR",
                            "\n".join(lines) + "\n\n" + T12_NOTES))
 
@@ -259,7 +262,9 @@ and its semantic recall saturates below MUST's. Deviation: the paper's
 MR plateaus under 0.4 and MUST is >10x faster — at our 10k-object scale
 the intersection merge still works far better than at the paper's 1M,
 so the gap is smaller; the direction and the saturation are the
-reproduced shapes."""
+reproduced shapes. The paper sweeps l = 700–4000 at 1M objects, ours
+l = 10–640 at 10k, so the two l columns do not line up row by row:
+compare where each curve saturates, not values at equal l."""
 T13_NOTES = """**Shape check vs paper Tabs. XIII–XVIII** — the learned weights are
 dataset-specific in both; ours favor the auxiliary/text modality
 wherever it is the filter (shopping, imagetext) as in the paper. Exact

@@ -17,9 +17,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import spark_map
-from repro.ann.distance import joint_ip_matrix, topk_from_scores
-from repro.core.fused_index import check_objects
-from repro.core.joint_search import query_weights
+from repro.ann.distance import check_objects, joint_ip_matrix, query_weights, topk_from_scores
 
 
 def topk_numpy(
@@ -48,8 +46,8 @@ def topk_scan(
     each partition runs :func:`topk_numpy` on its query slice. Absent
     query modalities (``None``) contribute zero.
 
-    The inputs must meet :func:`~repro.core.joint_search.query_weights`
-    and :func:`~repro.core.fused_index.check_objects` (``ValueError``
+    The inputs must meet :func:`~repro.ann.distance.query_weights`
+    and :func:`~repro.ann.distance.check_objects` (``ValueError``
     before any job). Its rows are :data:`repro.spark_map.TOPK_SCHEMA`'s.
     The scan's broadcasts live until the DataFrame is passed to
     :func:`repro.spark_map.release` (see that module).

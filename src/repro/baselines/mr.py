@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.fused_index import FusedIndex, build_fused_index, check_objects
-from repro.core.joint_search import SearchOutput, query_weights
+from repro.ann.distance import check_objects, query_weights
+from repro.core.fused_index import FusedIndex, build_fused_index
+from repro.core.joint_search import SearchOutput
 from repro.core.must import Must
 
 
@@ -44,7 +45,9 @@ class MR:
         *,
         seed: int = 0,
     ) -> SearchOutput:
-        """t separate vector searches + intersection merge.
+        """t separate vector searches + intersection merge. Reports the
+        sub-searches' summed in-worker kernel seconds as
+        ``stats["compute_s"]``, as :meth:`Must.search` does.
 
         Graph MR searches each active modality's own index. MR-- runs the
         ``t`` sub-queries as ``t * nq`` rows of one exact scan over the
@@ -68,21 +71,24 @@ class MR:
                 weights=np.ones(t),
                 index=None,
             )
-            out = scan.search([a.reshape(t * nq, -1) for a in stacked], k=l_cand, seed=seed)
-            cand = out.ids.reshape(t, nq, l_cand).swapaxes(0, 1)
+            outs = [scan.search([a.reshape(t * nq, -1) for a in stacked], k=l_cand, seed=seed)]
+            cand = outs[0].ids.reshape(t, nq, l_cand).swapaxes(0, 1)
         else:
-            cand = np.stack([
+            outs = [
                 Must(
                     spark=self.spark,
                     obj_mats=[self.obj_mats[i]],
                     weights=np.array([1.0]),
                     index=self.indexes[i],
-                ).search([qry_mats[i]], k=l_cand, l=l_cand, seed=seed).ids
+                ).search([qry_mats[i]], k=l_cand, l=l_cand, seed=seed)
                 for i in active
-            ], axis=1)
+            ]
+            cand = np.stack([out.ids for out in outs], axis=1)
         ids = merge_candidates(cand, k)
         elapsed = time.perf_counter() - t0
-        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed, stats={})
+        compute_s = sum(out.stats["compute_s"] for out in outs)
+        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed,
+                            stats={"compute_s": compute_s})
 
 
 def merge_candidates(cand: np.ndarray, k: int) -> np.ndarray:

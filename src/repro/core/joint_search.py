@@ -21,7 +21,8 @@ from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.beam_search import beam_search_batch
-from repro.core.fused_index import FusedIndex, check_unit_norm, check_weights
+from repro.ann.distance import check_unit_norm, query_weights
+from repro.core.fused_index import FusedIndex
 
 # queries per lockstep batch inside a partition. The kernel's per-object
 # state is one (batch, n) bool "scored" map: 256 B per object at any n,
@@ -45,33 +46,6 @@ class SearchOutput:
     def qps(self) -> float:
         """Queries per second: #queries / response time (paper §VIII-A)."""
         return self.ids.shape[0] / max(self.elapsed_s, 1e-9)
-
-
-def query_weights(
-    qry_mats: Sequence[np.ndarray | None],
-    weights: Sequence[float],
-    obj_mats: Sequence[np.ndarray],
-) -> tuple[list[float], int]:
-    """The weights a query batch is scored under, and its size: an absent
-    query modality (``qry_mats[i] is None``) gets weight 0 (§VII-B).
-    There must be one weight per modality, finite and >= 0; the given
-    query matrices must share one row count, and each must have its
-    object modality's column count."""
-    if len(qry_mats) != len(obj_mats):
-        raise ValueError(f"{len(qry_mats)} query modalities for {len(obj_mats)} object modalities")
-    w = check_weights(weights, len(obj_mats))
-    given = [(i, np.shape(q)) for i, q in enumerate(qry_mats) if q is not None]
-    if not given:
-        raise ValueError("every query modality is None; at least one must be given")
-    nq = given[0][1][0]
-    for i, shape in given:
-        want = (nq, np.shape(obj_mats[i])[1])
-        if shape != want:
-            raise ValueError(
-                f"query modality {i} has shape {shape}, expected {want}: one row "
-                "count across query modalities, its object modality's column count"
-            )
-    return [float(x) if q is not None else 0.0 for q, x in zip(qry_mats, w)], nq
 
 
 def joint_search(

@@ -17,8 +17,9 @@ from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.bruteforce import topk_scan
-from repro.core.fused_index import FusedIndex, build_fused_index, check_objects, check_weights
-from repro.core.joint_search import SearchOutput, joint_search, query_weights
+from repro.ann.distance import check_objects, check_weights, query_weights
+from repro.core.fused_index import FusedIndex, build_fused_index
+from repro.core.joint_search import SearchOutput, joint_search
 from repro.core.weights import WeightLearnResult, learn_weights
 
 
@@ -77,7 +78,7 @@ def fit_must(
     Weight precedence: explicit ``weights`` (user-defined, Tab. IX) >
     learned from ``train_qry_mats``/``train_positives`` (§VI) > uniform.
     Objects and explicit weights must meet
-    :mod:`repro.core.fused_index`'s input contract (``ValueError``
+    :mod:`repro.ann.distance`'s input contract (``ValueError``
     before any Spark job).
     """
     obj_mats = [np.ascontiguousarray(a, np.float32) for a in obj_mats]

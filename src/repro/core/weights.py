@@ -33,7 +33,7 @@ from pyspark.sql import SparkSession
 
 from repro import spark_map
 from repro.ann.bruteforce import topk_scan
-from repro.core.fused_index import check_weights
+from repro.ann.distance import check_objects, check_weights, query_weights
 
 
 @dataclass
@@ -95,16 +95,17 @@ def learn_weights(
     ``positives[j]`` is the true object index of anchor ``j``. Following
     Eq. 5, negatives are mined from the true-object set ``T`` (the unique
     positives) unless ``restrict_to_true_set=False``, in which case the
-    whole corpus is scanned. ``init`` must meet :func:`check_weights`
-    (``m`` finite values >= 0), ``lr`` must be finite and >= 0 (0 keeps
-    ``init``) and ``temperature`` finite and > 0 (``ValueError`` before
-    any Spark job).
+    whole corpus is scanned. The objects must meet :func:`check_objects`
+    and the anchors :func:`query_weights`, in both mining modes; ``init``
+    must meet :func:`check_weights` (``m`` finite values >= 0), ``lr``
+    must be finite and >= 0 (0 keeps ``init``) and ``temperature`` finite
+    and > 0 (``ValueError`` before any Spark job).
     """
+    check_objects(obj_mats)
     m = len(obj_mats)
     n = obj_mats[0].shape[0]
-    if len(qry_mats) != m:
-        raise ValueError(f"{len(qry_mats)} query modalities for {m} object modalities")
-    nq = qry_mats[0].shape[0]
+    w = np.full(m, 1.0 / m) if init is None else check_weights(init, m).copy()
+    _, nq = query_weights(qry_mats, w, obj_mats)
     positives = np.asarray(positives)
     if (
         positives.shape != (nq,)
@@ -118,7 +119,6 @@ def learn_weights(
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if not (np.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    w = np.full(m, 1.0 / m) if init is None else check_weights(init, m).copy()
     rng = np.random.default_rng(seed)
 
     if restrict_to_true_set:

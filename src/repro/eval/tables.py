@@ -27,25 +27,32 @@ from repro.datasets import MSTMDataset
 from repro.eval.harness import EvalConfig, evaluate, split_queries
 from repro.eval.metrics import recall_at_k
 
-# Encoder combos of the accuracy tables (paper Tab. III-VI).
-TABLE3_JE = ["tirg", "clip"]
+# Encoder combos of the accuracy tables (paper Tab. III-VI): JE's
+# composition encoder with the text encoder its dataset is built with,
+# then the combos MR and MUST run on.
+TABLE3_JE = [("tirg", "lstm"), ("clip", "lstm")]
 TABLE3_COMBOS = [
     ("resnet17", "lstm"), ("resnet50", "lstm"),
     ("resnet17", "transformer"), ("resnet50", "transformer"),
     ("tirg", "lstm"), ("tirg", "transformer"),
     ("clip", "lstm"), ("clip", "transformer"),
 ]
-TABLE4_JE = ["tirg", "clip"]
+TABLE4_JE = [("tirg", "encoding"), ("clip", "encoding")]
 TABLE4_COMBOS = [
     ("resnet17", "encoding"), ("resnet50", "encoding"),
     ("tirg", "encoding"), ("clip", "encoding"),
 ]
-TABLE5_JE = ["tirg"]
+TABLE5_JE = [("tirg", "encoding")]
 TABLE5_COMBOS = [("resnet17", "encoding"), ("tirg", "encoding")]
-TABLE6_JE = ["mpc"]
+TABLE6_JE = [("mpc", "gru", "resnet50")]
 TABLE6_COMBOS = [
     ("mpc", "gru", "resnet50"), ("resnet50", "gru", "resnet50"),
 ]
+
+
+def _shopping(category: str):
+    """The Shopping builder of one category, called like the others."""
+    return lambda enc, n, nq: D.shopping_lite(category, enc, n=n, nq=nq)
 
 
 def _learn_on_train_half(
@@ -61,36 +68,34 @@ def _learn_on_train_half(
 
 
 def _accuracy_table(
-    spark: SparkSession, builder, je_encs, combos, *,
-    n: int, nq: int, cfg: EvalConfig, text_enc_for_je: str,
+    spark: SparkSession, builder, je_combos, combos, *,
+    n: int, nq: int, cfg: EvalConfig, weights_from=None,
 ) -> list[dict]:
-    rows = []
-    for enc in je_encs:
-        ds = builder((enc, text_enc_for_je), n=n, nq=nq)
-        rows.append(evaluate(spark, ds, "je", cfg))
+    """JE rows, then MR rows, then MUST rows. MUST's weights are learned
+    on the training half of the same combo's dataset from ``builder``,
+    or, given ``weights_from = (name, source)``, from ``source`` (those
+    rows tagged ``weights_from: name``)."""
+    rows = [evaluate(spark, builder(c, n=n, nq=nq), "je", cfg) for c in je_combos]
+    rows += [evaluate(spark, builder(c, n=n, nq=nq), "mr", cfg) for c in combos]
+    name, source = weights_from or (None, builder)
     for combo in combos:
-        ds = builder(combo, n=n, nq=nq)
-        rows.append(evaluate(spark, ds, "mr", cfg))
-    for combo in combos:
-        ds = builder(combo, n=n, nq=nq)
-        rows.append(evaluate(spark, ds, "must", cfg))
+        w = _learn_on_train_half(
+            spark, source(combo, n=n, nq=nq), epochs=cfg.epochs, seed=cfg.seed).weights
+        row = evaluate(spark, builder(combo, n=n, nq=nq), "must", cfg, weights=w)
+        rows.append(row if name is None else {**row, "weights_from": name})
     return rows
 
 
 def table3_mitstates(spark, *, n=12000, nq=400, cfg=None) -> list[dict]:
     """Tab. III: search accuracy on MIT-States."""
     return _accuracy_table(
-        spark, D.mitstates_lite, TABLE3_JE, TABLE3_COMBOS,
-        n=n, nq=nq, cfg=cfg or EvalConfig(), text_enc_for_je="lstm",
-    )
+        spark, D.mitstates_lite, TABLE3_JE, TABLE3_COMBOS, n=n, nq=nq, cfg=cfg or EvalConfig())
 
 
 def table4_celeba(spark, *, n=12000, nq=400, cfg=None) -> list[dict]:
     """Tab. IV: search accuracy on CelebA."""
     return _accuracy_table(
-        spark, D.celeba_lite, TABLE4_JE, TABLE4_COMBOS,
-        n=n, nq=nq, cfg=cfg or EvalConfig(), text_enc_for_je="encoding",
-    )
+        spark, D.celeba_lite, TABLE4_JE, TABLE4_COMBOS, n=n, nq=nq, cfg=cfg or EvalConfig())
 
 
 def table5_shopping(spark, *, category="tshirt", n=12000, nq=400, cfg=None) -> list[dict]:
@@ -99,39 +104,16 @@ def table5_shopping(spark, *, category="tshirt", n=12000, nq=400, cfg=None) -> l
     For ``bottoms`` the weights are the ones *learned on tshirt* — the
     paper's generalization check (Appendix M).
     """
-    cfg = cfg or EvalConfig()
-    builder = lambda enc, n, nq: D.shopping_lite(category, enc, n=n, nq=nq)  # noqa: E731
-    if category == "tshirt":
-        return _accuracy_table(
-            spark, builder, TABLE5_JE, TABLE5_COMBOS,
-            n=n, nq=nq, cfg=cfg, text_enc_for_je="encoding",
-        )
-    rows = []
-    ds_je = builder((TABLE5_JE[0], "encoding"), n=n, nq=nq)
-    rows.append(evaluate(spark, ds_je, "je", cfg))
-    for combo in TABLE5_COMBOS:
-        rows.append(evaluate(spark, builder(combo, n=n, nq=nq), "mr", cfg))
-    for combo in TABLE5_COMBOS:
-        # learn on tshirt, evaluate on bottoms (shared output weights)
-        src = D.shopping_lite("tshirt", combo, n=n, nq=nq)
-        w = _learn_on_train_half(spark, src, epochs=cfg.epochs, seed=cfg.seed).weights
-        row = evaluate(spark, builder(combo, n=n, nq=nq), "must", cfg, weights=w)
-        row["weights_from"] = "tshirt"
-        rows.append(row)
-    return rows
+    return _accuracy_table(
+        spark, _shopping(category), TABLE5_JE, TABLE5_COMBOS, n=n, nq=nq, cfg=cfg or EvalConfig(),
+        weights_from=None if category == "tshirt" else ("tshirt", _shopping("tshirt")))
 
 
 def table6_mscoco(spark, *, n=8000, nq=300, cfg=None) -> list[dict]:
     """Tab. VI: accuracy on MS-COCO (3 modalities), Recall@10/50/100."""
-    cfg = cfg or EvalConfig(ks=(10, 50, 100), l=256, l_cand=200)
-    rows = []
-    ds = D.mscoco_lite((TABLE6_JE[0], "gru", "resnet50"), n=n, nq=nq)
-    rows.append(evaluate(spark, ds, "je", cfg))
-    for combo in TABLE6_COMBOS:
-        rows.append(evaluate(spark, D.mscoco_lite(combo, n=n, nq=nq), "mr", cfg))
-    for combo in TABLE6_COMBOS:
-        rows.append(evaluate(spark, D.mscoco_lite(combo, n=n, nq=nq), "must", cfg))
-    return rows
+    return _accuracy_table(
+        spark, D.mscoco_lite, TABLE6_JE, TABLE6_COMBOS, n=n, nq=nq,
+        cfg=cfg or EvalConfig(ks=(10, 50, 100), l=256, l_cand=200))
 
 
 def table7_scale(
@@ -242,8 +224,7 @@ def table10_single_modality(spark, *, n=12000, nq=400, cfg=None) -> list[dict]:
         ("mitstates", D.mitstates_lite, ("resnet50", "transformer")),
         ("celeba", D.celeba_lite, ("resnet17", "encoding")),
         ("celeba", D.celeba_lite, ("resnet50", "encoding")),
-        ("shopping", lambda enc, n, nq: D.shopping_lite("tshirt", enc, n=n, nq=nq),
-         ("resnet17", "encoding")),
+        ("shopping", _shopping("tshirt"), ("resnet17", "encoding")),
     ]
     seen = set()
     for name, builder, combo in cases:
@@ -289,6 +270,19 @@ def table11_graph_quality(spark, *, n=20000, gamma=24, seed=0) -> list[dict]:
     return rows
 
 
+def _sweep_setup(spark: SparkSession, n: int, nq: int, seed: int):
+    """The set-up of the efficiency sweeps (Tab. XII, Fig. 10):
+    ``imagetext(n)``, its evaluation query ids, weights learned on the
+    training half, the evaluation query matrices and their exact joint
+    top-10 under those weights, as ``(ds, ev, w, qry, gt10)``."""
+    ds = D.imagetext(n, nq=nq, seed=seed)
+    _, ev = split_queries(ds)
+    w = _learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
+    qry = [m[ev] for m in ds.qry_mats]
+    gt10, _ = topk_numpy(qry, ds.obj_mats, w, 10)
+    return ds, ev, w, qry, gt10
+
+
 def table12_l_sweep(
     spark, *, n=20000, nq=300, gamma=24,
     ls=(10, 20, 40, 80, 160, 320, 640), seed=0,
@@ -296,16 +290,11 @@ def table12_l_sweep(
     """Tab. XII + the §VIII-D efficiency claims as a table: MUST l-sweep
     (Recall@10(10) + response time) and MR l_cand-sweep (semantic recall
     plateau + QPS; MUST is ~10x faster at matched recall)."""
-    ds = D.imagetext(n, nq=nq, seed=seed)
-    _, ev = split_queries(ds)
-    w = _learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
-    gt10, _ = topk_numpy([m[ev] for m in ds.qry_mats], ds.obj_mats, w, 10)
+    ds, ev, w, qry, gt10 = _sweep_setup(spark, n, nq, seed)
     index = build_fused_index(spark, ds.obj_mats, w, gamma=gamma, seed=seed)
     rows = []
     for l in ls:
-        out = joint_search(
-            spark, [m[ev] for m in ds.qry_mats], ds.obj_mats, index, 10, l, seed=seed
-        )
+        out = joint_search(spark, qry, ds.obj_mats, index, 10, l, seed=seed)
         rows.append(
             {"method": "MUST", "l": l,
              "recall@10(10)": round(recall_at_k(out.ids, gt10, 10), 4),
@@ -315,7 +304,7 @@ def table12_l_sweep(
         )
     mr = fit_mr(spark, ds.obj_mats, gamma=gamma, seed=seed)
     for l in ls:
-        out = mr.search([m[ev] for m in ds.qry_mats], k=10, l_cand=l, seed=seed)
+        out = mr.search(qry, k=10, l_cand=l, seed=seed)
         rows.append(
             {"method": "MR", "l": l,
              "recall@10(10)": "",
@@ -333,9 +322,7 @@ def table13_learned_weights(spark, *, n=8000, nq=300, epochs=20, seed=0) -> list
     ] + [
         ("celeba", D.celeba_lite, c) for c in TABLE4_COMBOS
     ] + [
-        ("shopping-tshirt",
-         lambda enc, n, nq: D.shopping_lite("tshirt", enc, n=n, nq=nq), c)
-        for c in TABLE5_COMBOS
+        ("shopping-tshirt", _shopping("tshirt"), c) for c in TABLE5_COMBOS
     ] + [
         ("mscoco", D.mscoco_lite, c) for c in TABLE6_COMBOS
     ] + [
@@ -359,10 +346,7 @@ def ablation_graphs(
 ) -> list[dict]:
     """§VIII-G as tables: graph-variant build/search comparison plus the
     multi-vector computation optimization on/off (Fig. 10 shapes)."""
-    ds = D.imagetext(n, nq=nq, seed=seed)
-    _, ev = split_queries(ds)
-    w = _learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
-    gt10, _ = topk_numpy([m[ev] for m in ds.qry_mats], ds.obj_mats, w, 10)
+    ds, _, w, qry, gt10 = _sweep_setup(spark, n, nq, seed)
     vecs = concat_weighted(ds.obj_mats, w)
     rows = []
     for variant in VARIANTS:
@@ -371,14 +355,8 @@ def ablation_graphs(
         for optimize in ((True, False) if variant == "ours" else (True,)):
             # warmup run first: the recorded pass then excludes broadcast
             # shipping / executor warm-up from the QPS comparison
-            joint_search(
-                spark, [m[ev] for m in ds.qry_mats], ds.obj_mats, index,
-                10, l, optimize=optimize, seed=seed,
-            )
-            out = joint_search(
-                spark, [m[ev] for m in ds.qry_mats], ds.obj_mats, index,
-                10, l, optimize=optimize, seed=seed,
-            )
+            joint_search(spark, qry, ds.obj_mats, index, 10, l, optimize=optimize, seed=seed)
+            out = joint_search(spark, qry, ds.obj_mats, index, 10, l, optimize=optimize, seed=seed)
             rows.append(
                 {"variant": variant, "optimize": optimize,
                  "build_s": round(g.build_seconds, 2),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.mr import MR
-from repro.core.joint_search import query_weights
+from repro.ann.distance import query_weights
 from repro.core.must import Must
 
 

@@ -67,6 +67,31 @@ def test_mr_graph_close_to_brute(spark, ds):
     assert abs(rb - rg) < 0.2
 
 
+@pytest.mark.parametrize("brute", [True, False])
+def test_mr_reports_kernel_seconds(spark, ds, monkeypatch, brute):
+    """``stats["compute_s"]`` is the sum of the sub-searches' kernel
+    seconds: MR--'s one stacked scan, graph MR's t searches. Each
+    sub-search's seconds are replaced by a power of two, so the sum
+    shows which ones were added."""
+    from repro.baselines import mr as mr_mod
+
+    seconds = []
+
+    class TaggedMust(mr_mod.Must):
+        def search(self, *args, **kwargs):
+            out = super().search(*args, **kwargs)
+            assert out.stats["compute_s"] > 0
+            seconds.append(2.0 ** len(seconds))
+            out.stats["compute_s"] = seconds[-1]
+            return out
+
+    mr = fit_mr(spark, ds.obj_mats, brute=brute, gamma=8, eps=2)
+    monkeypatch.setattr(mr_mod, "Must", TaggedMust)
+    out = mr.search(list(ds.qry_mats), k=5, l_cand=20)
+    assert seconds == ([1.0] if brute else [1.0, 2.0])
+    assert out.stats["compute_s"] == sum(seconds)
+
+
 def test_mr_build_has_one_index_per_modality(spark, ds):
     mr = fit_mr(spark, ds.obj_mats, gamma=8, eps=1)
     assert len(mr.indexes) == ds.m

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ann.beam_search import beam_search_batch
 from repro.ann.bruteforce import topk_numpy
+from repro.ann.distance import query_weights
 from repro.core.fused_index import FusedIndex, build_fused_index
 from repro.core import joint_search as js
 from repro.core.joint_search import joint_search
@@ -130,7 +131,7 @@ def test_zero_query_rows_allowed(spark, setup):
 def test_weights_must_be_finite_and_nonnegative(spark, setup, bad):
     ds, _, index = setup
     with pytest.raises(ValueError, match="weights"):
-        js.query_weights(ds.qry_mats, [0.5, bad], ds.obj_mats)
+        query_weights(ds.qry_mats, [0.5, bad], ds.obj_mats)
     bad_index = FusedIndex(graph=index.graph, weights=np.array([0.5, bad]))
     with pytest.raises(ValueError, match="weights"):
         joint_search(spark, ds.qry_mats, ds.obj_mats, bad_index, 5, 40)

@@ -188,3 +188,37 @@ def test_one_topk_row_schema():
     ``spark_map.TOPK_SCHEMA``, next to the builder and its inverse."""
     users = sorted(name for name, text in sources().items() if "ip_joint double" in text)
     assert users == ["repro/spark_map.py"]
+
+
+# The input contract (unit-norm rows, weights >= 0, consistent shapes)
+# is stated once, next to the kernels that assume it.
+
+CONTRACT = ("NORM_TOL", "check_unit_norm", "check_weights", "check_objects", "query_weights")
+
+
+def definitions(text: str) -> set[str]:
+    """Names ``text`` defines at module level: functions, classes and
+    assignment targets."""
+    import ast
+
+    out = set()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def test_ann_imports_nothing_from_core():
+    for name, text in sources().items():
+        if name.startswith("repro/ann/"):
+            modules = [module for module, _ in imports(text)]
+            assert not [m for m in modules if m.startswith("repro.core")], name
+
+
+def test_input_contract_defined_once():
+    for contract_name in CONTRACT:
+        where = sorted(name for name, text in sources().items() if contract_name in definitions(text))
+        assert where == ["repro/ann/distance.py"], (contract_name, where)

@@ -218,6 +218,39 @@ def test_scan_rejects_bad_inputs(spark, no_spark_job, case):
             learn_weights(spark, qry, obj, np.arange(5), epochs=1)
 
 
+def _bad_learning_inputs():
+    g = np.random.default_rng(9)
+    obj = [normalize(g.standard_normal((20, 6))), normalize(g.standard_normal((20, 4)))]
+    qry = [m[:5] for m in obj]
+    nan_row, long_row = [obj[0], obj[1].copy()], [obj[0], obj[1].copy()]
+    nan_row[1][7] = np.nan
+    long_row[1][7] *= 2.0
+    return {
+        "object row counts differ": (qry, [obj[0], obj[1][:15]], "row count"),
+        "object row nan": (qry, nan_row, "object modality 1, row 7"),
+        "object norm 2": (qry, long_row, "object modality 1, row 7"),
+        "anchor columns": ([qry[0], np.pad(qry[1], ((0, 0), (0, 1)))], obj,
+                           "query modality 1 has shape"),
+        "anchor rows": ([qry[0], qry[1][:3]], obj, "query modality 1 has shape"),
+    }
+
+
+@pytest.mark.parametrize("case,hard", [
+    ("object row counts differ", True), ("object row counts differ", False),
+    ("object row nan", True), ("object row nan", False),
+    ("object norm 2", True), ("object norm 2", False),
+    ("anchor columns", False), ("anchor rows", False),
+])
+def test_learn_weights_checks_objects_and_anchors(no_spark_job, case, hard):
+    """``learn_weights`` checks every object row and the anchor shapes
+    before any job, with hard or random negatives. The bad object row
+    (7) lies outside the true set T = {0..4}, which is all the mining
+    scan sees; random negatives run no scan at all."""
+    qry, obj, match = _bad_learning_inputs()[case]
+    with pytest.raises(ValueError, match=match):
+        learn_weights(None, qry, obj, np.arange(5), epochs=2, hard_negatives=hard)
+
+
 def test_zero_object_rows_pass_the_build_contract(spark):
     g = np.random.default_rng(7)
     obj = [normalize(g.standard_normal((20, 6))), normalize(g.standard_normal((20, 4)))]
