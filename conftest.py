@@ -81,3 +81,22 @@ def spark(pytestconfig) -> SparkSession:
         )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def local_map(monkeypatch):
+    """Replace the distributed map by a local call: the kernel runs once
+    over all ids on the driver, and its rows report one task, as
+    ``spark_map.to_pandas`` does (no Spark needed)."""
+    import numpy as np
+
+    from repro import spark_map
+
+    def local(spark, n, fn, schema, *values):
+        pdf = fn(np.arange(n), *values)
+        pdf.attrs["parts"] = 1
+        return pdf
+
+    monkeypatch.setattr(spark_map, "lazy", local)
+    monkeypatch.setattr(spark_map, "to_pandas", lambda pdf: pdf)
+    monkeypatch.setattr(spark_map, "collect", local)

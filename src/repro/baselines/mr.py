@@ -47,7 +47,8 @@ class MR:
     ) -> SearchOutput:
         """t separate vector searches + intersection merge. Reports the
         sub-searches' summed in-worker kernel seconds as
-        ``stats["compute_s"]``, as :meth:`Must.search` does.
+        ``stats["compute_s"]``, as :meth:`Must.search` does, and the
+        largest sub-search's task count as ``stats["parts"]``.
 
         Graph MR searches each active modality's own index. MR-- runs the
         ``t`` sub-queries as ``t * nq`` rows of one exact scan over the
@@ -86,9 +87,11 @@ class MR:
             cand = np.stack([out.ids for out in outs], axis=1)
         ids = merge_candidates(cand, k)
         elapsed = time.perf_counter() - t0
-        compute_s = sum(out.stats["compute_s"] for out in outs)
-        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed,
-                            stats={"compute_s": compute_s})
+        stats = {
+            "compute_s": sum(out.stats["compute_s"] for out in outs),
+            "parts": max(out.stats["parts"] for out in outs),
+        }
+        return SearchOutput(ids=ids, ips=np.zeros((nq, k)), elapsed_s=elapsed, stats=stats)
 
 
 def merge_candidates(cand: np.ndarray, k: int) -> np.ndarray:

@@ -40,7 +40,8 @@ class SearchOutput:
     ids: np.ndarray       # (nq, k) result object ids, rank order
     ips: np.ndarray       # (nq, k) joint IPs
     elapsed_s: float      # wall-clock of the whole distributed job
-    stats: dict           # summed SearchStats counters over all queries
+    stats: dict           # summed SearchStats counters over all queries,
+                          # kernel seconds and the op's task count "parts"
 
     @property
     def qps(self) -> float:
@@ -97,4 +98,5 @@ def joint_search(
     ids, ips = spark_map.scatter_topk(pdf, nq, k)
     stats = {c: int(pdf[c].sum()) for c in _COUNTERS}
     stats["compute_s"] = float(pdf["compute_s"].sum())
+    stats["parts"] = pdf.attrs["parts"]
     return SearchOutput(ids=ids, ips=ips, elapsed_s=elapsed, stats=stats)

@@ -43,7 +43,8 @@ class Must:
     ) -> SearchOutput:
         """Joint search; falls back to the exact distributed scan when no
         index was built (``MUST--``). Either path reports its summed
-        in-worker kernel seconds as ``stats["compute_s"]``."""
+        in-worker kernel seconds as ``stats["compute_s"]`` and its task
+        count as ``stats["parts"]``."""
         if self.index is not None:
             return joint_search(
                 self.spark, qry_mats, self.obj_mats, self.index, k,
@@ -56,7 +57,7 @@ class Must:
         ids, ips = spark_map.scatter_topk(pdf, nq, k)
         return SearchOutput(
             ids=ids, ips=ips, elapsed_s=elapsed,
-            stats={"compute_s": float(pdf["compute_s"].sum())},
+            stats={"compute_s": float(pdf["compute_s"].sum()), "parts": pdf.attrs["parts"]},
         )
 
 

@@ -96,15 +96,19 @@ def learn_weights(
     Eq. 5, negatives are mined from the true-object set ``T`` (the unique
     positives) unless ``restrict_to_true_set=False``, in which case the
     whole corpus is scanned. The objects must meet :func:`check_objects`
-    and the anchors :func:`query_weights`, in both mining modes; ``init``
-    must meet :func:`check_weights` (``m`` finite values >= 0), ``lr``
-    must be finite and >= 0 (0 keeps ``init``) and ``temperature`` finite
-    and > 0 (``ValueError`` before any Spark job).
+    and the anchors :func:`query_weights` with no modality absent
+    (``None``: its weight would get no gradient), in both mining modes;
+    ``init`` must meet :func:`check_weights` (``m`` finite values >= 0),
+    ``lr`` must be finite and >= 0 (0 keeps ``init``) and ``temperature``
+    finite and > 0 (``ValueError`` before any Spark job).
     """
     check_objects(obj_mats)
     m = len(obj_mats)
     n = obj_mats[0].shape[0]
     w = np.full(m, 1.0 / m) if init is None else check_weights(init, m).copy()
+    absent = [i for i, q in enumerate(qry_mats) if q is None]
+    if absent:
+        raise ValueError(f"anchor modality {absent[0]} is None: learning needs all {m}")
     _, nq = query_weights(qry_mats, w, obj_mats)
     positives = np.asarray(positives)
     if (

@@ -155,10 +155,11 @@ def table7_scale(
             {
                 # tau = summed in-worker kernel seconds (the paper's
                 # single-thread response time); wall = distributed job
-                # wall-clock incl. Spark overhead
+                # wall-clock incl. Spark overhead; tau to 4 significant
+                # digits, since a one-task scan at small n takes < 1 ms
                 "scale": n,
-                "must--_tau_s": round(brute_tau, 3),
-                "must_tau_s": round(must_tau, 3),
+                "must--_tau_s": float(f"{brute_tau:.4g}"),
+                "must_tau_s": float(f"{must_tau:.4g}"),
                 "reduction_pct": round(100 * (1 - must_tau / brute_tau), 1),
                 "must--_wall_s": round(brute.elapsed_s, 2),
                 "must_wall_s": round(out.elapsed_s, 2),

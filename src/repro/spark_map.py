@@ -3,10 +3,20 @@
 Algorithm 1's passes (① NNDescent, ②③ neighbor selection) are per-vertex
 kernels; Algorithm 2 and the exact scan are per-query kernels. Each runs
 the same way: the ids ``0..n-1`` form a ``spark.range`` over
-``min(defaultParallelism, max(1, n))`` partitions, the read-mostly state
-rides along as broadcasts, and ``mapInPandas`` calls the kernel
+``min(defaultParallelism, ceil(n / MIN_IDS_PER_TASK))`` partitions (an
+empty range plans as none), the read-mostly state rides along as
+broadcasts, and ``mapInPandas`` calls the kernel
 ``fn(ids, *values) -> pd.DataFrame`` once per non-empty Arrow batch, with
 ``values`` the broadcasts' contents in the order given.
+
+Op size: each task gets at least :data:`MIN_IDS_PER_TASK` ids, up to one
+task per core. A task costs an op more than merging small kernel batches
+costs: a no-op over 16 ids took 58 ms as one task and 101 ms as four,
+while one kernel call over 16 queries took 29 ms against 23 ms over 4
+(search, l=100; 104 against 75 ms at l=400; the scan under 1 ms). So a
+16-query op runs as one task and a 512-query op over every core
+(DESIGN.md §5). :func:`to_pandas` reports the op's partition count as
+``attrs["parts"]`` of the frame it returns.
 
 The range is generated on the executors, one contiguous id split per
 partition, so an op is one stage: nothing is uploaded from the driver and
@@ -42,6 +52,9 @@ import pandas as pd
 from pyspark.broadcast import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
+# the fewest ids a task runs, unless the op has fewer (DESIGN.md §5)
+MIN_IDS_PER_TASK = 32
+
 
 def _drop_zip_importers() -> None:
     """Forget the worker's zip importers and its ``.jar`` path entries.
@@ -65,9 +78,10 @@ def _destroy(owned: list[Broadcast]) -> None:
 def lazy(
     spark: SparkSession, n: int, fn: Callable[..., pd.DataFrame], schema: str, *values
 ) -> DataFrame:
-    """``fn`` over the ids ``0..n-1`` as an unexecuted DataFrame."""
-    parts = min(spark.sparkContext.defaultParallelism, max(1, n))
-    ids = spark.range(0, n, 1, parts)
+    """``fn`` over the ids ``0..n-1`` as an unexecuted DataFrame over
+    ``min(defaultParallelism, ceil(n / MIN_IDS_PER_TASK))`` partitions."""
+    parts = min(spark.sparkContext.defaultParallelism, -(-n // MIN_IDS_PER_TASK))
+    ids = spark.range(0, n, 1, max(1, parts))
     shipped, owned = [], []
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -91,6 +105,7 @@ def lazy(
         _destroy(owned)
         raise
     df._spark_map_owned = owned
+    df._spark_map_parts = parts
     return df
 
 
@@ -101,11 +116,14 @@ def release(df: DataFrame) -> None:
 
 
 def to_pandas(df: DataFrame) -> pd.DataFrame:
-    """Collect a :func:`lazy` DataFrame, then release it."""
+    """Collect a :func:`lazy` DataFrame, then release it. The rows carry
+    the op's partition count as ``attrs["parts"]``."""
     try:
-        return df.toPandas()
+        pdf = df.toPandas()
     finally:
         release(df)
+    pdf.attrs["parts"] = df._spark_map_parts
+    return pdf
 
 
 def collect(

@@ -4,6 +4,7 @@ import pytest
 from pyspark import SparkContext
 from pyspark.sql import SparkSession
 
+from repro import spark_map
 from repro.ann.distance import concat_weighted
 from repro.core.fused_index import build_fused_index
 from repro.datasets import mitstates_lite
@@ -61,6 +62,7 @@ def test_variants_buildable(spark, ds, variant):
 def test_build_does_not_depend_on_partition_count(spark, ds, monkeypatch):
     """The same adjacency and seed vertex whether ``spark_map`` splits the
     ids into 1, 2, 3 or ``defaultParallelism`` partitions."""
+    monkeypatch.setattr(spark_map, "MIN_IDS_PER_TASK", 1)
     ref = build_fused_index(spark, ds.obj_mats, [0.5, 0.5], gamma=8, eps=2)
     real_range = SparkSession.range
     for parts in (1, 2, 3):

@@ -138,7 +138,7 @@ def test_weights_must_be_finite_and_nonnegative(spark, setup, bad):
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
-def test_compute_s_sums_to_the_batch_kernel_time(monkeypatch, k):
+def test_compute_s_sums_to_the_batch_kernel_time(monkeypatch, local_map, k):
     """``stats["compute_s"]`` is the kernel's time even when results are
     padded: with n = 4 and k = 6 each query has two ``-1`` slots, which
     are dropped before the batch's seconds are spread over its rows. Each
@@ -147,11 +147,8 @@ def test_compute_s_sums_to_the_batch_kernel_time(monkeypatch, k):
     import itertools
     from types import SimpleNamespace
 
-    from repro import spark_map
     from repro.ann.graphs import GraphIndex
 
-    monkeypatch.setattr(
-        spark_map, "collect", lambda spark, n, fn, schema, *values: fn(np.arange(n), *values))
     clock = itertools.count()
     monkeypatch.setattr(js, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
     vecs = np.eye(4, dtype=np.float32)

@@ -30,6 +30,12 @@ def test_one_per_vertex_kernel():
         "repro/ann/bruteforce.py", "repro/ann/pruning.py", "repro/core/joint_search.py"]
 
 
+def test_one_reader_of_default_parallelism():
+    """How many tasks an op runs is decided in ``spark_map`` alone."""
+    users = sorted(name for name, text in sources().items() if "defaultParallelism" in text)
+    assert users == ["repro/spark_map.py"]
+
+
 def test_one_search_kernel():
     for name, text in sources().items():
         for kernel in ("def beam_search(", "def _score_candidates("):
@@ -62,18 +68,15 @@ def test_traced_replay_call_shape():
     assert stats.n_expanded > 0
 
 
-def test_traced_search_stats_names(monkeypatch):
+def test_traced_search_stats_names(local_map):
     """``SearchOutput.stats`` carries the kernel time and the four effort
     counters (run with the distributed map replaced by a local call)."""
     import numpy as np
 
-    from repro import spark_map
     from repro.ann.graphs import GraphIndex
     from repro.core.fused_index import FusedIndex
     from repro.core.joint_search import joint_search
 
-    monkeypatch.setattr(
-        spark_map, "collect", lambda spark, n, fn, schema, *values: fn(np.arange(n), *values))
     vecs = np.eye(4, dtype=np.float32)
     graph = GraphIndex(nbrs=np.array([[1], [2], [3], [0]], dtype=np.int32), seed_vertex=0)
     out = joint_search(None, [vecs], [vecs], FusedIndex(graph=graph, weights=np.ones(1)), 2, 4)
@@ -83,24 +86,17 @@ def test_traced_search_stats_names(monkeypatch):
     assert out.stats["n_expanded"] > 0
 
 
-def test_traced_mr_hook_sees_every_sub_search(monkeypatch):
+def test_traced_mr_hook_sees_every_sub_search(monkeypatch, local_map):
     """The traced run times MR's sub-searches by replacing
     ``repro.baselines.mr.Must``: MR-- makes one ``search`` call (one
     stacked scan), graph MR one per active modality (run with the
     distributed map replaced by a local call)."""
     import numpy as np
 
-    from repro import spark_map
     from repro.ann.graphs import GraphIndex
     from repro.baselines import mr
     from repro.core.fused_index import FusedIndex
 
-    def local(spark, n, fn, schema, *values):
-        return fn(np.arange(n), *values)
-
-    monkeypatch.setattr(spark_map, "lazy", local)
-    monkeypatch.setattr(spark_map, "to_pandas", lambda pdf: pdf)
-    monkeypatch.setattr(spark_map, "collect", local)
     calls = []
 
     class CountingMust(mr.Must):
@@ -120,7 +116,7 @@ def test_traced_mr_hook_sees_every_sub_search(monkeypatch):
         assert out.ids[:, 0].tolist() == [0, 1, 2, 3]
 
 
-def test_traced_mining_hook_sees_every_scan(monkeypatch):
+def test_traced_mining_hook_sees_every_scan(monkeypatch, local_map):
     """The traced run times the mining scan by wrapping
     ``repro.core.weights.topk_scan`` and replays its last call for
     ``weights.mine_s``: ``learn_weights`` calls it once per epoch with
@@ -128,12 +124,8 @@ def test_traced_mining_hook_sees_every_scan(monkeypatch):
     map replaced by a local call)."""
     import numpy as np
 
-    from repro import spark_map
     from repro.core import weights
 
-    monkeypatch.setattr(
-        spark_map, "lazy", lambda spark, n, fn, schema, *values: fn(np.arange(n), *values))
-    monkeypatch.setattr(spark_map, "to_pandas", lambda pdf: pdf)
     calls = []
     scan = weights.topk_scan
 

@@ -126,9 +126,10 @@ def test_k_above_n_pads(spark, tiny, path):
     assert (out.ids[:, 30:] == -1).all() and (out.ips[:, 30:] == -np.inf).all()
 
 
-def test_brute_search_any_batch_size(spark, ds):
-    """The id frame has min(defaultParallelism, nq) partitions; results
-    do not depend on it."""
+def test_brute_search_any_batch_size(spark, ds, monkeypatch):
+    """With one id per task the id frame has min(defaultParallelism, nq)
+    partitions; results do not depend on it."""
+    monkeypatch.setattr(spark_map, "MIN_IDS_PER_TASK", 1)
     w = [0.4, 0.6]
     model = fit_must(spark, ds.obj_mats, weights=w, brute=True)
     parts = spark.sparkContext.defaultParallelism
@@ -248,6 +249,20 @@ def test_learn_weights_checks_objects_and_anchors(no_spark_job, case, hard):
     scan sees; random negatives run no scan at all."""
     qry, obj, match = _bad_learning_inputs()[case]
     with pytest.raises(ValueError, match=match):
+        learn_weights(None, qry, obj, np.arange(5), epochs=2, hard_negatives=hard)
+
+
+@pytest.mark.parametrize("hard", [True, False])
+@pytest.mark.parametrize("absent", [0, 1])
+def test_learn_weights_rejects_an_absent_anchor_modality(no_spark_job, hard, absent):
+    """Every anchor needs every modality: an absent one (``None``) would
+    get no gradient. It raises ``ValueError`` before any job, not a
+    ``TypeError`` from the finiteness check."""
+    g = np.random.default_rng(10)
+    obj = [normalize(g.standard_normal((20, 6))), normalize(g.standard_normal((20, 4)))]
+    qry = [m[:5] for m in obj]
+    qry[absent] = None
+    with pytest.raises(ValueError, match=f"anchor modality {absent} is None"):
         learn_weights(None, qry, obj, np.arange(5), epochs=2, hard_negatives=hard)
 
 

@@ -1,9 +1,11 @@
 """The distributed map's id frame: one stage, no shuffle, the ids
-``0..n-1`` each exactly once over ``min(defaultParallelism, n)``
-partitions (an empty range plans as an empty relation); the worker
-import state each task leaves behind; and the socket transport between
-the workers and the JVM."""
+``0..n-1`` each exactly once over
+``min(defaultParallelism, ceil(n / MIN_IDS_PER_TASK))`` partitions (an
+empty range plans as an empty relation); the worker import state each
+task leaves behind; and the socket transport between the workers and
+the JVM."""
 import importlib
+import math
 import os
 import sys
 import tempfile
@@ -21,16 +23,19 @@ def echo(ids: np.ndarray, offset: int) -> pd.DataFrame:
     return pd.DataFrame({"id": ids + offset})
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 50])
+@pytest.mark.parametrize("n", [0, 1, 3, 32, 33, 50, 200])
 def test_id_frame_is_one_stage(spark, n):
     df = spark_map.lazy(spark, n, echo, "id long", 0)
     try:
         assert sorted(r.id for r in df.collect()) == list(range(n))
         plan = df._jdf.queryExecution().executedPlan().toString()
         assert "Exchange" not in plan, plan
-        assert df.rdd.getNumPartitions() == min(spark.sparkContext.defaultParallelism, n)
+        parts = min(spark.sparkContext.defaultParallelism,
+                    math.ceil(n / spark_map.MIN_IDS_PER_TASK))
+        assert df.rdd.getNumPartitions() == parts
     finally:
         spark_map.release(df)
+
 
 
 def worker_imports(ids: np.ndarray) -> pd.DataFrame:
@@ -45,8 +50,9 @@ def test_tasks_leave_no_zip_importer(spark):
     ``importlib.invalidate_caches()`` then re-reads no archive. One row
     per task, one task per partition, so every worker of the op is seen."""
     parts = spark.sparkContext.defaultParallelism
-    spark_map.collect(spark, parts, echo, "id long", 0)
-    pdf = spark_map.collect(spark, parts, worker_imports, "zips string, jars string")
+    n = parts * spark_map.MIN_IDS_PER_TASK
+    spark_map.collect(spark, n, echo, "id long", 0)
+    pdf = spark_map.collect(spark, n, worker_imports, "zips string, jars string")
     assert len(pdf) == parts
     assert (pdf["zips"] == "").all(), pdf["zips"].tolist()
     assert (pdf["jars"] == "").all(), pdf["jars"].tolist()
@@ -64,10 +70,10 @@ def import_fresh(ids: np.ndarray) -> pd.DataFrame:
 def test_unimported_pyspark_module_imports_after_the_trim(spark):
     """A kernel can still import a ``pyspark`` module the worker has not
     loaded: its dropped zip importer is rebuilt on demand."""
-    parts = spark.sparkContext.defaultParallelism
-    spark_map.collect(spark, parts, echo, "id long", 0)
-    pdf = spark_map.collect(spark, parts, import_fresh, "id long, file string")
-    assert sorted(pdf["id"]) == list(range(parts))
+    n = spark.sparkContext.defaultParallelism * spark_map.MIN_IDS_PER_TASK
+    spark_map.collect(spark, n, echo, "id long", 0)
+    pdf = spark_map.collect(spark, n, import_fresh, "id long, file string")
+    assert sorted(pdf["id"]) == list(range(n))
     assert pdf["file"].str.endswith("instrumentation_utils.py").all()
 
 
@@ -105,7 +111,7 @@ def test_session_runs_the_chosen_transport(spark):
         assert conf.get("spark.python.unix.domain.socket.enabled") == "true"
         assert conf.get("spark.python.unix.domain.socket.dir") == sock_dir
         assert python_sockets(spark) == f"unix:{sock_dir}"
-    parts = spark.sparkContext.defaultParallelism
-    pdf = spark_map.collect(spark, parts, worker_transport, "id long, uds boolean")
-    assert sorted(pdf["id"]) == list(range(parts))
+    n = spark.sparkContext.defaultParallelism * spark_map.MIN_IDS_PER_TASK
+    pdf = spark_map.collect(spark, n, worker_transport, "id long, uds boolean")
+    assert sorted(pdf["id"]) == list(range(n))
     assert (pdf["uds"] == (sock_dir is not None)).all(), pdf["uds"].tolist()
