@@ -43,7 +43,9 @@ def build_fused_index(
     variant: str = "ours",
     seed: int = 0,
 ) -> FusedIndex:
-    """Build the fused index over all modalities under ``weights``."""
+    """Build the fused index over all modalities under ``weights``. The
+    objects and weights are checked here, the one check of an index fit
+    (``ValueError`` before any Spark job)."""
     check_objects(obj_mats)
     w = check_weights(weights, len(obj_mats))
     vecs = concat_weighted(obj_mats, w)

@@ -1,10 +1,11 @@
 """End-to-end MUST framework facade (paper §IV, Fig. 4).
 
-Ties the pieces together: vector weight learning (§VI) on a training
-split of the anchors, fused-index construction (§VII-A) under the
-learned (or user-supplied, Tab. IX) weights, and the merging-free joint
-search (§VII-B). ``brute=True`` gives the paper's ``MUST--`` variant
-(distributed exact scan instead of the index).
+Ties the pieces together: fused-index construction (§VII-A) under the
+weights it is given, and the merging-free joint search (§VII-B). The
+weights are an input to the build whatever their source: explicit ones,
+learned (§VI, :func:`repro.core.weights.learn_weights`) or user-defined
+(Tab. IX), come before uniform ones. ``brute=True`` gives the paper's
+``MUST--`` variant (distributed exact scan instead of the index).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from repro.ann.bruteforce import topk_scan
 from repro.ann.distance import check_objects, check_weights, query_weights
 from repro.core.fused_index import FusedIndex, build_fused_index
 from repro.core.joint_search import SearchOutput, joint_search
-from repro.core.weights import WeightLearnResult, learn_weights
 
 
 @dataclass
@@ -31,7 +31,6 @@ class Must:
     obj_mats: list[np.ndarray]
     weights: np.ndarray
     index: FusedIndex | None  # None => brute-force-only (MUST--)
-    weight_result: WeightLearnResult | None = None
 
     def search(
         self,
@@ -66,42 +65,24 @@ def fit_must(
     obj_mats: Sequence[np.ndarray],
     *,
     weights: Sequence[float] | None = None,
-    train_qry_mats: Sequence[np.ndarray] | None = None,
-    train_positives: np.ndarray | None = None,
     brute: bool = False,
     gamma: int = 30,
     eps: int = 3,
-    epochs: int = 30,
     seed: int = 0,
 ) -> Must:
-    """Build a MUST deployment.
-
-    Weight precedence: explicit ``weights`` (user-defined, Tab. IX) >
-    learned from ``train_qry_mats``/``train_positives`` (§VI) > uniform.
-    Objects and explicit weights must meet
-    :mod:`repro.ann.distance`'s input contract (``ValueError``
-    before any Spark job).
+    """Build a MUST deployment under explicit ``weights`` (learned by
+    :func:`~repro.core.weights.learn_weights`, or user-defined, Tab. IX),
+    or else uniform ones. Objects and weights must meet
+    :mod:`repro.ann.distance`'s input contract (``ValueError`` before any
+    Spark job); they are checked once, by ``build_fused_index`` on the
+    index path and here for ``MUST--``.
     """
     obj_mats = [np.ascontiguousarray(a, np.float32) for a in obj_mats]
-    check_objects(obj_mats)
     m = len(obj_mats)
-    wres = None
-    if weights is not None:
-        w = check_weights(weights, m)
-    elif train_qry_mats is not None and train_positives is not None:
-        wres = learn_weights(
-            spark, train_qry_mats, obj_mats, train_positives,
-            epochs=epochs, seed=seed,
-        )
-        w = wres.weights
-    else:
-        w = np.full(m, 1.0 / m)
-    index = None
-    if not brute:
-        index = build_fused_index(
-            spark, obj_mats, w, gamma=gamma, eps=eps, seed=seed
-        )
-    return Must(
-        spark=spark, obj_mats=list(obj_mats), weights=w,
-        index=index, weight_result=wres,
-    )
+    # m = 0 fails check_objects, here or in build_fused_index
+    w = np.full(m, 1.0 / max(m, 1)) if weights is None else weights
+    if brute:
+        check_objects(obj_mats)
+        return Must(spark=spark, obj_mats=obj_mats, weights=check_weights(w, m), index=None)
+    index = build_fused_index(spark, obj_mats, w, gamma=gamma, eps=eps, seed=seed)
+    return Must(spark=spark, obj_mats=obj_mats, weights=index.weights, index=index)

@@ -21,6 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.mr import fit_mr
 from repro.core.must import fit_must
+from repro.core.weights import WeightLearnResult, learn_weights
 from repro.datasets import MSTMDataset
 from repro.eval.metrics import recall_at_k, sme
 
@@ -47,6 +48,19 @@ def split_queries(ds: MSTMDataset):
     return np.arange(n_train), np.arange(n_train, ds.nq)
 
 
+def learn_on_train_half(
+    spark: SparkSession, ds: MSTMDataset, *, epochs: int, seed: int
+) -> WeightLearnResult:
+    """Learn ``ds``'s modality weights on its training half of queries
+    (:func:`split_queries`): the one place the tables and
+    :func:`evaluate` learn weights."""
+    tr, _ = split_queries(ds)
+    return learn_weights(
+        spark, [m[tr] for m in ds.qry_mats], ds.obj_mats, ds.gt[tr],
+        epochs=epochs, seed=seed,
+    )
+
+
 def evaluate(
     spark: SparkSession,
     ds: MSTMDataset,
@@ -58,13 +72,14 @@ def evaluate(
 ) -> dict:
     """One table row: recall@k / SME / timings for a framework on ``ds``.
 
-    ``weights`` forces user-defined weights (Tab. IX); ``active``
+    ``weights`` forces user-defined weights (Tab. IX); without them MUST
+    learns its weights with :func:`learn_on_train_half`. ``active``
     restricts the query modalities (t < m, Tab. X/XIX/XX).
     """
     if framework not in FRAMEWORKS:
         raise ValueError(f"framework must be one of {FRAMEWORKS}")
     cfg = cfg or EvalConfig()
-    train_idx, eval_idx = split_queries(ds)
+    _, eval_idx = split_queries(ds)
     k = max(cfg.ks)
     eval_q = [m[eval_idx] for m in ds.qry_mats]
     if active is not None:
@@ -80,13 +95,11 @@ def evaluate(
     }
 
     if framework in ("must", "must--"):
+        if weights is None:
+            weights = learn_on_train_half(spark, ds, epochs=cfg.epochs, seed=cfg.seed).weights
         model = fit_must(
-            spark, ds.obj_mats,
-            weights=weights,
-            train_qry_mats=None if weights is not None else [m[train_idx] for m in ds.qry_mats],
-            train_positives=None if weights is not None else ds.gt[train_idx],
-            brute=framework == "must--",
-            gamma=cfg.gamma, eps=cfg.eps, epochs=cfg.epochs, seed=cfg.seed,
+            spark, ds.obj_mats, weights=weights, brute=framework == "must--",
+            gamma=cfg.gamma, eps=cfg.eps, seed=cfg.seed,
         )
         out = model.search(eval_q, k=k, l=cfg.l, seed=cfg.seed)
         row["weights"] = [round(float(w), 4) for w in model.weights]

@@ -16,15 +16,13 @@ from pyspark.sql import SparkSession
 from repro import datasets as D
 from repro.ann.bruteforce import topk_numpy
 from repro.ann.distance import concat_weighted
-from repro.ann.graphs import VARIANTS, build_graph
+from repro.ann.graphs import VARIANTS
 from repro.ann.nndescent import graph_quality, init_random, nndescent_pass
-from repro.core.fused_index import FusedIndex, build_fused_index
+from repro.core.fused_index import build_fused_index
 from repro.core.joint_search import joint_search
 from repro.core.must import fit_must
-from repro.core.weights import WeightLearnResult, learn_weights
 from repro.baselines.mr import fit_mr
-from repro.datasets import MSTMDataset
-from repro.eval.harness import EvalConfig, evaluate, split_queries
+from repro.eval.harness import EvalConfig, evaluate, learn_on_train_half, split_queries
 from repro.eval.metrics import recall_at_k
 
 # Encoder combos of the accuracy tables (paper Tab. III-VI): JE's
@@ -55,18 +53,6 @@ def _shopping(category: str):
     return lambda enc, n, nq: D.shopping_lite(category, enc, n=n, nq=nq)
 
 
-def _learn_on_train_half(
-    spark: SparkSession, ds: MSTMDataset, *, epochs: int, seed: int
-) -> WeightLearnResult:
-    """Learn ``ds``'s modality weights on its training half of queries
-    (:func:`split_queries`)."""
-    tr, _ = split_queries(ds)
-    return learn_weights(
-        spark, [m[tr] for m in ds.qry_mats], ds.obj_mats, ds.gt[tr],
-        epochs=epochs, seed=seed,
-    )
-
-
 def _accuracy_table(
     spark: SparkSession, builder, je_combos, combos, *,
     n: int, nq: int, cfg: EvalConfig, weights_from=None,
@@ -79,7 +65,7 @@ def _accuracy_table(
     rows += [evaluate(spark, builder(c, n=n, nq=nq), "mr", cfg) for c in combos]
     name, source = weights_from or (None, builder)
     for combo in combos:
-        w = _learn_on_train_half(
+        w = learn_on_train_half(
             spark, source(combo, n=n, nq=nq), epochs=cfg.epochs, seed=cfg.seed).weights
         row = evaluate(spark, builder(combo, n=n, nq=nq), "must", cfg, weights=w)
         rows.append(row if name is None else {**row, "weights_from": name})
@@ -129,7 +115,7 @@ def table7_scale(
     # learn weights once at the smallest scale (paper uses one learned
     # weight set per dataset family, Tab. XVIII)
     ds0 = D.imagetext(scales[0], nq=nq, seed=seed)
-    w = _learn_on_train_half(spark, ds0, epochs=15, seed=seed).weights
+    w = learn_on_train_half(spark, ds0, epochs=15, seed=seed).weights
     for n in scales:
         ds = D.imagetext(n, nq=nq, seed=seed)
         gt10, _ = topk_numpy(ds.qry_mats, ds.obj_mats, w, 10)
@@ -137,16 +123,14 @@ def table7_scale(
         brute = fit_must(spark, ds.obj_mats, weights=w, brute=True).search(ds.qry_mats, 10)
         brute_tau = brute.stats["compute_s"]
 
-        index = build_fused_index(
-            spark, ds.obj_mats, w, gamma=gamma, eps=eps, seed=seed
-        )
+        must = fit_must(spark, ds.obj_mats, weights=w, gamma=gamma, eps=eps, seed=seed)
         if n == scales[0]:
             # unmeasured warm-up: the first row's tau then excludes the
             # workers' first kernel call, like every later row's
-            joint_search(spark, ds.qry_mats, ds.obj_mats, index, 10, 100, seed=seed)
+            must.search(ds.qry_mats, 10, 100, seed=seed)
         rec, out = 0.0, None
         for l in (100, 140, 200, 280, 400, 560, 800, 1120, 1600, 3200):
-            out = joint_search(spark, ds.qry_mats, ds.obj_mats, index, 10, l, seed=seed)
+            out = must.search(ds.qry_mats, 10, l, seed=seed)
             rec = recall_at_k(out.ids, gt10, 10)
             if rec >= target_recall:
                 break
@@ -165,8 +149,8 @@ def table7_scale(
                 "must_wall_s": round(out.elapsed_s, 2),
                 "recall@10(10)": round(rec, 4),
                 "l": l,
-                "build_s": round(index.build_seconds, 1),
-                "index_MB": round(index.nbytes() / 2**20, 2),
+                "build_s": round(must.index.build_seconds, 1),
+                "index_MB": round(must.index.nbytes() / 2**20, 2),
             }
         )
     return rows
@@ -278,7 +262,7 @@ def _sweep_setup(spark: SparkSession, n: int, nq: int, seed: int):
     top-10 under those weights, as ``(ds, ev, w, qry, gt10)``."""
     ds = D.imagetext(n, nq=nq, seed=seed)
     _, ev = split_queries(ds)
-    w = _learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
+    w = learn_on_train_half(spark, ds, epochs=15, seed=seed).weights
     qry = [m[ev] for m in ds.qry_mats]
     gt10, _ = topk_numpy(qry, ds.obj_mats, w, 10)
     return ds, ev, w, qry, gt10
@@ -292,10 +276,10 @@ def table12_l_sweep(
     (Recall@10(10) + response time) and MR l_cand-sweep (semantic recall
     plateau + QPS; MUST is ~10x faster at matched recall)."""
     ds, ev, w, qry, gt10 = _sweep_setup(spark, n, nq, seed)
-    index = build_fused_index(spark, ds.obj_mats, w, gamma=gamma, seed=seed)
+    must = fit_must(spark, ds.obj_mats, weights=w, gamma=gamma, seed=seed)
     rows = []
     for l in ls:
-        out = joint_search(spark, qry, ds.obj_mats, index, 10, l, seed=seed)
+        out = must.search(qry, 10, l, seed=seed)
         rows.append(
             {"method": "MUST", "l": l,
              "recall@10(10)": round(recall_at_k(out.ids, gt10, 10), 4),
@@ -332,7 +316,7 @@ def table13_learned_weights(spark, *, n=8000, nq=300, epochs=20, seed=0) -> list
     ]
     rows = []
     for name, builder, combo in cases:
-        res = _learn_on_train_half(spark, builder(combo, n=n, nq=nq), epochs=epochs, seed=seed)
+        res = learn_on_train_half(spark, builder(combo, n=n, nq=nq), epochs=epochs, seed=seed)
         rows.append(
             {"dataset": name, "encoder": "+".join(combo),
              **{f"w{i}^2": round(float(v), 4) for i, v in enumerate(res.weights)},
@@ -348,11 +332,9 @@ def ablation_graphs(
     """§VIII-G as tables: graph-variant build/search comparison plus the
     multi-vector computation optimization on/off (Fig. 10 shapes)."""
     ds, _, w, qry, gt10 = _sweep_setup(spark, n, nq, seed)
-    vecs = concat_weighted(ds.obj_mats, w)
     rows = []
     for variant in VARIANTS:
-        g = build_graph(spark, vecs, gamma=gamma, variant=variant, seed=seed)
-        index = FusedIndex(graph=g, weights=np.asarray(w))
+        index = build_fused_index(spark, ds.obj_mats, w, gamma=gamma, variant=variant, seed=seed)
         for optimize in ((True, False) if variant == "ours" else (True,)):
             # warmup run first: the recorded pass then excludes broadcast
             # shipping / executor warm-up from the QPS comparison
@@ -360,8 +342,8 @@ def ablation_graphs(
             out = joint_search(spark, qry, ds.obj_mats, index, 10, l, optimize=optimize, seed=seed)
             rows.append(
                 {"variant": variant, "optimize": optimize,
-                 "build_s": round(g.build_seconds, 2),
-                 "edges": g.n_edges,
+                 "build_s": round(index.build_seconds, 2),
+                 "edges": index.graph.n_edges,
                  "recall@10(10)": round(recall_at_k(out.ids, gt10, 10), 4),
                  "qps": round(out.qps, 1),
                  "dots_saved_pct": round(

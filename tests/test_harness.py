@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from repro.datasets import mitstates_lite
-from repro.eval.harness import EvalConfig, FRAMEWORKS, evaluate, format_table, split_queries
+from repro.eval.harness import (
+    EvalConfig, FRAMEWORKS, evaluate, format_table, learn_on_train_half, split_queries,
+)
 
 CFG = EvalConfig(ks=(1, 5), l=40, l_cand=30, gamma=8, eps=2, epochs=3)
 
@@ -36,6 +38,27 @@ def test_evaluate_all_frameworks(spark, ds, fw):
 def test_evaluate_with_user_weights(spark, ds):
     row = evaluate(spark, ds, "must--", CFG, weights=[0.2, 0.8])
     assert row["weights"] == [0.2, 0.8]
+
+
+@pytest.mark.parametrize("fw", ["must", "must--"])
+def test_evaluate_learns_on_train_half(spark, ds, fw, monkeypatch):
+    """Without weights, MUST runs under exactly the weights
+    ``learn_on_train_half`` learns with the config's epochs and seed."""
+    from repro.eval import harness
+
+    want = learn_on_train_half(spark, ds, epochs=CFG.epochs, seed=CFG.seed).weights
+    fitted, fit = [], harness.fit_must
+
+    def spy(*args, **kwargs):
+        model = fit(*args, **kwargs)
+        fitted.append(model.weights)
+        return model
+
+    monkeypatch.setattr(harness, "fit_must", spy)
+    row = evaluate(spark, ds, fw, CFG)
+    assert len(fitted) == 1
+    assert fitted[0].dtype == want.dtype and fitted[0].tobytes() == want.tobytes()
+    assert row["weights"] == [round(float(w), 4) for w in want]
 
 
 def test_evaluate_active_restriction(spark, ds):

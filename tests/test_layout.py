@@ -214,3 +214,14 @@ def test_input_contract_defined_once():
     for contract_name in CONTRACT:
         where = sorted(name for name, text in sources().items() if contract_name in definitions(text))
         assert where == ["repro/ann/distance.py"], (contract_name, where)
+
+
+def test_one_caller_of_learn_weights():
+    """Weights are learned in one place, ``harness.learn_on_train_half``;
+    ``fit_must`` builds from the weights it is given."""
+    import re
+
+    users = sorted(
+        name for name, text in sources().items()
+        if re.search(r"(?<!def )\blearn_weights\(", text))
+    assert users == ["repro/eval/harness.py"]

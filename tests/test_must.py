@@ -6,7 +6,7 @@ import pytest
 
 from repro import spark_map
 from repro.ann.bruteforce import topk_numpy, topk_scan
-from repro.ann.distance import normalize
+from repro.ann.distance import check_objects, normalize
 from repro.baselines.mr import fit_mr
 from repro.core.fused_index import build_fused_index
 from repro.core.must import fit_must
@@ -24,24 +24,11 @@ def test_fit_with_explicit_weights(spark, ds):
     model = fit_must(spark, ds.obj_mats, weights=[0.3, 0.7], gamma=8, eps=2)
     np.testing.assert_allclose(model.weights, [0.3, 0.7])
     assert model.index is not None
-    assert model.weight_result is None
 
 
 def test_fit_uniform_default(spark, ds):
     model = fit_must(spark, ds.obj_mats, brute=True)
     np.testing.assert_allclose(model.weights, [0.5, 0.5])
-
-
-def test_fit_learns_weights(spark, ds):
-    model = fit_must(
-        spark, ds.obj_mats,
-        train_qry_mats=[m[:20] for m in ds.qry_mats],
-        train_positives=ds.gt[:20],
-        brute=True, epochs=4,
-    )
-    assert model.weight_result is not None
-    assert len(model.weight_result.history) == 4
-    np.testing.assert_array_equal(model.weights, model.weight_result.weights)
 
 
 def test_brute_search_equals_numpy(spark, ds):
@@ -184,12 +171,33 @@ def test_fit_rejects_bad_build_inputs(spark, no_spark_job, case, brute):
             fit_mr(spark, obj, brute=brute, gamma=6, eps=2)
 
 
-def test_fit_checks_objects_before_learning_weights(spark, no_spark_job):
-    obj, _, _ = _bad_build_inputs()["object norm > 1"]
-    g = np.random.default_rng(6)
-    qry = [normalize(g.standard_normal((5, 6))), normalize(g.standard_normal((5, 4)))]
-    with pytest.raises(ValueError, match="object modality 1"):
-        fit_must(spark, obj, train_qry_mats=qry, train_positives=np.arange(5), brute=True)
+@pytest.mark.parametrize("brute", [False, True])
+def test_fit_rejects_no_object_modality(spark, no_spark_job, brute):
+    """An empty modality list is the contract's error, before any Spark
+    job, not a division by m = 0 in the uniform weights."""
+    with pytest.raises(ValueError, match="at least one object modality"):
+        fit_must(spark, [], brute=brute, gamma=6, eps=2)
+    with pytest.raises(ValueError, match="at least one object modality"):
+        fit_mr(spark, [], brute=brute, gamma=6, eps=2)
+
+
+@pytest.mark.parametrize("brute", [False, True])
+def test_fit_checks_objects_once(spark, tiny, monkeypatch, brute):
+    """One ``check_objects`` call per fit: ``build_fused_index`` makes it
+    on the index path, ``fit_must`` itself for ``MUST--``."""
+    from repro.core import fused_index, must
+
+    _, obj, w, _ = tiny
+    calls = []
+
+    def counting(obj_mats):
+        calls.append(len(obj_mats))
+        return check_objects(obj_mats)
+
+    for module in (must, fused_index):
+        monkeypatch.setattr(module, "check_objects", counting)
+    fit_must(spark, obj, weights=w, brute=brute, gamma=6, eps=2)
+    assert calls == [2]
 
 
 @pytest.mark.parametrize(

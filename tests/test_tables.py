@@ -57,7 +57,9 @@ def test_table7_first_scale_is_measured_after_a_warm_up(spark, monkeypatch):
     """Every search of the first scale but the first may be recorded: the
     spy tags each call's tau with its call number, and the first row's
     tau is not call 0's."""
-    calls, real = [], T.joint_search
+    from repro.core import must
+
+    calls, real = [], must.joint_search
 
     def spy(spark_, qry_mats, obj_mats, *args, **kwargs):
         out = real(spark_, qry_mats, obj_mats, *args, **kwargs)
@@ -65,7 +67,7 @@ def test_table7_first_scale_is_measured_after_a_warm_up(spark, monkeypatch):
         out.stats["compute_s"] = float(len(calls))
         return out
 
-    monkeypatch.setattr(T, "joint_search", spy)
+    monkeypatch.setattr(must, "joint_search", spy)
     rows = T.table7_scale(
         spark, scales=(300, 600), nq=20, gamma=8, eps=2, target_recall=0.8
     )
@@ -161,3 +163,11 @@ def test_every_registry_name_is_rendered(monkeypatch):
     monkeypatch.setattr(render_experiments, "load", loaded.append)
     render_experiments.main()
     assert sorted(loaded) == sorted(f"bench_{name}" for name in T.TABLES)
+
+
+def test_rendered_experiments_match_the_results():
+    """EXPERIMENTS.md is ``jobs/render_experiments.py`` run over the
+    committed ``results/*.json``, byte for byte (no Spark)."""
+    from jobs import render_experiments
+
+    assert render_experiments.main() == (render_experiments.ROOT / "EXPERIMENTS.md").read_text()
